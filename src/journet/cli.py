@@ -15,7 +15,7 @@ from pathlib import Path
 from . import reports
 from .communities import community_of, girvan_newman
 from .corpus import TimeIndex, ingest_corpus, load_corpus, persist_corpus, snapshot
-from .graph import NodeRef
+from .graph import REFERENCE, NodeRef, reference_node
 from .layers import Layer, build_layer, layer_from_token
 from .metrics import EVOLUTION_METRICS, degree_stats, evolution_series, metrics_report
 from .pajek import export_pajek, infer_node
@@ -33,12 +33,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _node_for_layers(token: str, layers: list[Layer]) -> NodeRef:
-    """Parse a node id so that its kind fits every given layer."""
+    """Read a node id as the kind of node every given layer holds.
+
+    Cited-work keys are free text, so on cited-work layers any token is
+    a key.  Author and paper ids have a fixed shape; a token of another
+    shape is an error, and the shape tells a bipartite layer's two
+    kinds apart.
+    """
     kinds = frozenset.intersection(*(layer.node_kinds for layer in layers))
     if not kinds:
         raise ValueError(
             "the given layers hold no common node kind; pick layers over the same nodes"
         )
+    if kinds == {REFERENCE}:
+        return reference_node(token)
     node = infer_node(token)
     if node.kind not in kinds:
         raise ValueError(
@@ -236,7 +244,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"journet: error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,56 +10,45 @@ deterministic so repeated runs agree edge for edge.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .graph import Graph, NodeRef
+from .graph import Graph, NodeRef, bfs, components
 
 Edge = tuple[NodeRef, NodeRef]
 
 
-def _edge_key(u: NodeRef, v: NodeRef) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
-def _betweenness_on_adj(adj: dict[NodeRef, list[NodeRef]]) -> dict[Edge, float]:
+def _betweenness_on_adj(adj) -> dict[tuple[int, int], float]:
     """Shortest-path edge betweenness over unordered node pairs.
 
-    One BFS per source builds shortest-path counts sigma and predecessor
-    lists; walking the BFS order backwards pushes each pair's unit of
+    ``adj`` holds symmetric index rows (see Graph.adjacency); edges come
+    back as (i, j) index pairs with i < j.  One BFS per source gives the
+    visit order and distances; shortest-path counts sigma follow from
+    them, and walking the order backwards pushes each pair's unit of
     flow down the shortest-path DAG, split proportionally to sigma.
     Summing over all sources counts every unordered pair twice, hence
-    the final halving.  Sources and neighbours are visited in sorted
+    the final halving.  Sources and neighbours are visited in ascending
     order so the floating-point sums are reproducible.
     """
-    betweenness: dict[Edge, float] = {
-        _edge_key(u, v): 0.0 for u in adj for v in adj[u] if u < v
-    }
-    for source in sorted(adj):
-        dist = {source: 0}
-        sigma = {v: 0 for v in adj}
+    betweenness = {(u, v): 0.0 for u, row in enumerate(adj) for v in row if u < v}
+    for source in range(len(adj)):
+        order, dist = bfs(adj, source)
+        sigma = dict.fromkeys(order, 0)
         sigma[source] = 1
-        preds: dict[NodeRef, list[NodeRef]] = {v: [] for v in adj}
-        order: list[NodeRef] = []
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
+        for u in order:
+            d = dist[u] + 1
             for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-                if dist[v] == dist[u] + 1:
+                if dist[v] == d:
                     sigma[v] += sigma[u]
-                    preds[v].append(u)
-        delta = {v: 0.0 for v in order}
+        delta = dict.fromkeys(order, 0.0)
         for w in reversed(order):
-            for v in preds[w]:
-                flow = sigma[v] / sigma[w] * (1.0 + delta[w])
-                betweenness[_edge_key(v, w)] += flow
-                delta[v] += flow
+            d = dist[w] - 1
+            for v in adj[w]:
+                if dist[v] == d:
+                    flow = sigma[v] / sigma[w] * (1.0 + delta[w])
+                    betweenness[(v, w) if v < w else (w, v)] += flow
+                    delta[v] += flow
     return {edge: value / 2.0 for edge, value in betweenness.items()}
 
 
@@ -67,8 +56,9 @@ def edge_betweenness(graph: Graph) -> dict[Edge, float]:
     """Betweenness per unordered edge; contributions per node pair sum to 1."""
     if graph.directed:
         raise ValueError("edge betweenness needs an undirected graph; symmetrize first")
-    adj = {u: graph.neighbors(u) for u in graph.nodes()}
-    return _betweenness_on_adj(adj)
+    nodes = graph.nodes()
+    scores = _betweenness_on_adj(graph.adjacency())
+    return {(nodes[u], nodes[v]): value for (u, v), value in scores.items()}
 
 
 def modularity(graph: Graph, partition: Mapping[NodeRef, int]) -> float:
@@ -104,26 +94,6 @@ def canonical_partition(components: list[list[NodeRef]]) -> dict[NodeRef, int]:
     """Dense labels 0..c-1; the community with the smallest node gets 0."""
     ordered = sorted(components, key=lambda c: min(c).sort_key)
     return {node: label for label, members in enumerate(ordered) for node in members}
-
-
-def _components_of_adj(adj: dict[NodeRef, list[NodeRef]]) -> list[list[NodeRef]]:
-    seen: set[NodeRef] = set()
-    components = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        members = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    members.append(v)
-                    queue.append(v)
-        components.append(sorted(members))
-    return components
 
 
 @dataclass(frozen=True)
@@ -163,34 +133,25 @@ def girvan_newman(graph: Graph) -> CommunityResult:
     if graph.link_count == 0:
         raise ValueError("community detection needs at least one edge")
 
-    adj = {u: graph.neighbors(u) for u in graph.nodes()}
+    nodes = graph.nodes()
+    adj = [list(row) for row in graph.adjacency()]
 
-    def record(removed, components):
-        partition = canonical_partition(components)
-        return PartitionRecord(removed, len(components), partition, modularity(graph, partition))
+    def record(removed, comps):
+        partition = canonical_partition([[nodes[v] for v in comp] for comp in comps])
+        return PartitionRecord(removed, len(comps), partition, modularity(graph, partition))
 
-    records = [record(0, _components_of_adj(adj))]
-    removed = 0
-    while any(adj[u] for u in adj):
+    records = [record(0, components(adj))]
+    for removed in range(1, graph.link_count + 1):
         scores = _betweenness_on_adj(adj)
-        best_edge = None
-        best_score = -1.0
-        for edge in sorted(scores):
-            if scores[edge] > best_score:
-                best_edge, best_score = edge, scores[edge]
-        u, v = best_edge
+        u, v = min(scores, key=lambda edge: (-scores[edge], edge))
         adj[u].remove(v)
         adj[v].remove(u)
-        removed += 1
-        components = _components_of_adj(adj)
-        if len(components) > records[-1].community_count:
-            records.append(record(removed, components))
+        comps = components(adj)
+        if len(comps) > records[-1].community_count:
+            records.append(record(removed, comps))
 
-    best_index = 0
-    for i, entry in enumerate(records):
-        if entry.modularity > records[best_index].modularity:
-            best_index = i
-    return CommunityResult(records, best_index)
+    # max() keeps the first of equal maxima: the earlier, coarser level
+    return CommunityResult(records, max(range(len(records)), key=lambda i: records[i].modularity))
 
 
 def community_of(result: CommunityResult, node: NodeRef) -> list[NodeRef]:

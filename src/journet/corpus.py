@@ -69,9 +69,11 @@ class TimeIndex:
 
     @classmethod
     def parse(cls, token: str) -> "TimeIndex":
-        m = re.match(r"^v(\d+)n(\d+)$", token)
+        m = re.fullmatch(r"v([1-9][0-9]*)n([1-9][0-9]*)", token)
         if not m:
-            raise ValueError(f"time index {token!r} does not match v<vol>n<issue>")
+            raise ValueError(
+                f"time index {token!r} does not match v<vol>n<issue> (positive, no leading zeros)"
+            )
         return cls(int(m.group(1)), int(m.group(2)))
 
     def __str__(self):
@@ -206,28 +208,25 @@ class Corpus:
         )
 
 
-def _index_papers_by_author(papers: Mapping[str, PaperRecord]) -> dict[int, tuple[str, ...]]:
-    index: dict[int, list[str]] = {}
+def _index(papers: Mapping[str, PaperRecord], keys_of) -> dict:
+    """Map each key of ``keys_of(paper)`` to the sorted ids of its papers."""
+    index: dict = {}
     for pid in sorted(papers):
-        for aid in papers[pid].author_ids:
-            index.setdefault(aid, []).append(pid)
-    return {aid: tuple(pids) for aid, pids in index.items()}
+        for key in keys_of(papers[pid]):
+            index.setdefault(key, []).append(pid)
+    return {key: tuple(pids) for key, pids in index.items()}
+
+
+def _index_papers_by_author(papers: Mapping[str, PaperRecord]) -> dict[int, tuple[str, ...]]:
+    return _index(papers, lambda paper: paper.author_ids)
 
 
 def _index_papers_by_pacs(papers: Mapping[str, PaperRecord]) -> dict[str, tuple[str, ...]]:
-    index: dict[str, list[str]] = {}
-    for pid in sorted(papers):
-        for code in sorted(papers[pid].pacs_codes):
-            index.setdefault(code, []).append(pid)
-    return {code: tuple(pids) for code, pids in index.items()}
+    return _index(papers, lambda paper: sorted(paper.pacs_codes))
 
 
 def _index_citing_by_key(papers: Mapping[str, PaperRecord]) -> dict[str, tuple[str, ...]]:
-    index: dict[str, list[str]] = {}
-    for pid in sorted(papers):
-        for key in sorted({ref.key for ref in papers[pid].reference_keys}):
-            index.setdefault(key, []).append(pid)
-    return {key: tuple(pids) for key, pids in index.items()}
+    return _index(papers, lambda paper: sorted({ref.key for ref in paper.reference_keys}))
 
 
 def validate_corpus(corpus: Corpus) -> ValidationReport:

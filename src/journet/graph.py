@@ -10,6 +10,8 @@ reports and exported files are reproducible byte for byte.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -73,35 +75,40 @@ class Graph:
 
     Build instances with :func:`build_graph`; treat them as read-only
     afterwards.  No self-loops, no parallel links (duplicates aggregate
-    into the weight), weights always >= 1.  Undirected adjacency is
-    stored symmetrically.
+    into the weight), weights always >= 1.
+
+    Inside, node ``i`` is ``nodes()[i]`` and row ``i`` lists its
+    neighbours as ascending indices, with a parallel row of weights:
+    out-arcs, plus separate in-arc rows for a directed graph.
+    Undirected rows are stored symmetrically.  Nodes are indexed in
+    sorted order, so ascending rows are canonical neighbour order.
     """
 
-    def __init__(self, directed: bool, adj, in_adj=None, aux=None):
+    def __init__(self, directed, nodes, out, out_w, in_=None, in_w=None, aux=None):
         self.directed = directed
-        # store nodes and neighbours in sorted insertion order once, so
-        # every later traversal is canonical without re-sorting
-        self._adj = {
-            u: {v: adj[u][v] for v in sorted(adj[u])} for u in sorted(adj)
-        }
-        self._in = None
-        if directed:
-            self._in = {
-                u: {v: in_adj[u][v] for v in sorted(in_adj[u])} for u in sorted(in_adj)
-            }
+        self._nodes = nodes
+        self._index = {node: i for i, node in enumerate(nodes)}
+        self._out, self._out_w = out, out_w
+        self._in, self._in_w = (in_, in_w) if directed else (out, out_w)
+        self._arc_count = sum(map(len, out))
         self._aux = dict(aux) if aux else None
+        self._symmetrized = None
 
     # -- node accessors ----------------------------------------------------
 
     def nodes(self) -> list[NodeRef]:
-        return list(self._adj)
+        return list(self._nodes)
 
     @property
     def node_count(self) -> int:
-        return len(self._adj)
+        return len(self._nodes)
 
     def has_node(self, node: NodeRef) -> bool:
-        return node in self._adj
+        return node in self._index
+
+    def index(self, node: NodeRef) -> int:
+        """Position of the node in nodes(): its row in adjacency()."""
+        return self._index[node]
 
     @property
     def aux_counts(self) -> dict[NodeRef, int] | None:
@@ -110,55 +117,66 @@ class Graph:
 
     def with_aux(self, aux: Mapping[NodeRef, int]) -> "Graph":
         """Same topology with an auxiliary count attached to every node."""
-        return Graph(self.directed, self._adj, self._in, aux)
+        return Graph(self.directed, self._nodes, self._out, self._out_w, self._in, self._in_w, aux)
 
     # -- link accessors ----------------------------------------------------
 
     @property
     def link_count(self) -> int:
-        total = sum(len(nbrs) for nbrs in self._adj.values())
-        return total if self.directed else total // 2
+        return self._arc_count if self.directed else self._arc_count // 2
+
+    def adjacency(self, direction: str = "out") -> tuple[tuple[int, ...], ...]:
+        """Neighbour rows by node index: "out", "in" or "both" ways.
+
+        "both" gives the rows of :meth:`symmetrized`, whose nodes have
+        the same indices.  All three agree on an undirected graph.
+        """
+        if direction == "both":
+            return self.symmetrized()._out
+        return {"out": self._out, "in": self._in}[direction]
 
     def neighbors(self, node: NodeRef) -> list[NodeRef]:
         """Sorted neighbours; out-neighbours for a directed graph."""
-        return list(self._adj[node])
+        return [self._nodes[j] for j in self._out[self._index[node]]]
 
     def in_neighbors(self, node: NodeRef) -> list[NodeRef]:
-        if not self.directed:
-            return self.neighbors(node)
-        return list(self._in[node])
+        return [self._nodes[j] for j in self._in[self._index[node]]]
 
     def all_neighbors(self, node: NodeRef) -> list[NodeRef]:
         """Out and in neighbours combined (identical to neighbors when undirected)."""
-        if not self.directed:
-            return self.neighbors(node)
-        return sorted(set(self._adj[node]) | set(self._in[node]))
+        return [self._nodes[j] for j in self.adjacency("both")[self._index[node]]]
 
     def has_link(self, u: NodeRef, v: NodeRef) -> bool:
-        return u in self._adj and v in self._adj[u]
+        i, j = self._index.get(u), self._index.get(v)
+        return i is not None and j is not None and j in self._out[i]
 
     def weight(self, u: NodeRef, v: NodeRef) -> int:
-        return self._adj[u][v]
+        i, j = self._index[u], self._index[v]
+        k = bisect_left(self._out[i], j)
+        if self._out[i][k:k + 1] != (j,):
+            raise KeyError((u, v))
+        return self._out_w[i][k]
 
     def degree(self, node: NodeRef) -> int:
         """Neighbour count; for directed graphs out-degree plus in-degree."""
-        if not self.directed:
-            return len(self._adj[node])
-        return len(self._adj[node]) + len(self._in[node])
+        i = self._index[node]
+        return len(self._out[i]) + (len(self._in[i]) if self.directed else 0)
 
     def links(self) -> Iterator[tuple[NodeRef, NodeRef, int]]:
         """Canonical link iteration: undirected edges once with u < v, sorted."""
-        for u, nbrs in self._adj.items():
-            for v, w in nbrs.items():
-                if self.directed or u < v:
-                    yield u, v, w
+        nodes = self._nodes
+        for i, (row, weights) in enumerate(zip(self._out, self._out_w)):
+            for j, w in zip(row, weights):
+                if self.directed or i < j:
+                    yield nodes[i], nodes[j], w
 
     def symmetrized(self) -> "Graph":
         """Undirected view of a directed graph; weights of opposite arcs add."""
         if not self.directed:
             return self
-        links = [(u, v, w) for u, v, w in self.links()]
-        return build_graph(False, links, isolated_nodes=self._adj)
+        if self._symmetrized is None:
+            self._symmetrized = build_graph(False, self.links(), isolated_nodes=self._nodes)
+        return self._symmetrized
 
     # -- comparison ----------------------------------------------------------
 
@@ -166,11 +184,23 @@ class Graph:
         # Equality is over topology and weights; aux counts are presentation.
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.directed == other.directed and self._adj == other._adj
+        return (self.directed, self._nodes, self._out, self._out_w) == (
+            other.directed, other._nodes, other._out, other._out_w
+        )
 
     def __repr__(self):
         shape = "directed" if self.directed else "undirected"
         return f"<Graph {shape} nodes={self.node_count} links={self.link_count}>"
+
+
+def _rows(order: list[int], rank: list[int], arcs: Mapping[int, dict[int, int]]):
+    """Index rows and weight rows, in ``order``, from arcs between numbers."""
+    index_rows, weight_rows = [], []
+    for a in order:
+        pairs = sorted((rank[b], w) for b, w in arcs.get(a, {}).items())
+        index_rows.append(tuple(j for j, _ in pairs))
+        weight_rows.append(tuple(w for _, w in pairs))
+    return tuple(index_rows), tuple(weight_rows)
 
 
 def build_graph(
@@ -185,32 +215,63 @@ def build_graph(
     (v, u) are the same link.  Self-loops are rejected.  Nodes listed in
     ``isolated_nodes`` exist in the result even without links.
     """
-    adj: dict[NodeRef, dict[NodeRef, int]] = {}
-    in_adj: dict[NodeRef, dict[NodeRef, int]] = {}
-
-    def ensure(node):
-        adj.setdefault(node, {})
-        if directed:
-            in_adj.setdefault(node, {})
-
+    seen: dict[NodeRef, int] = {}  # node -> number in order of first sight
     for node in isolated_nodes:
-        ensure(node)
-
+        seen.setdefault(node, len(seen))
+    out: defaultdict[int, dict[int, int]] = defaultdict(dict)  # a -> {b: weight of a -> b}
+    back = defaultdict(dict) if directed else out  # b -> {a: weight of a -> b}
     for u, v, w in links:
-        if u == v:
+        a = seen.setdefault(u, len(seen))
+        b = seen.setdefault(v, len(seen))
+        if a == b:
             raise GraphError(f"self-loop rejected: ({u}, {v})")
         if not isinstance(w, int) or isinstance(w, bool) or w < 1:
             raise GraphError(f"link weight must be an integer >= 1, got {w!r} for ({u}, {v})")
-        ensure(u)
-        ensure(v)
-        if directed:
-            adj[u][v] = adj[u].get(v, 0) + w
-            in_adj[v][u] = in_adj[v].get(u, 0) + w
-        else:
-            adj[u][v] = adj[u].get(v, 0) + w
-            adj[v][u] = adj[u][v]
+        out[a][b] = out[a].get(b, 0) + w
+        back[b][a] = back[b].get(a, 0) + w
 
-    return Graph(directed, adj, in_adj if directed else None, aux)
+    by_number = list(seen)
+    order = sorted(range(len(by_number)), key=lambda a: by_number[a].sort_key)
+    rank = [0] * len(order)  # number -> index
+    for i, a in enumerate(order):
+        rank[a] = i
+    nodes = tuple(by_number[a] for a in order)
+    if directed:
+        return Graph(True, nodes, *_rows(order, rank, out), *_rows(order, rank, back), aux=aux)
+    return Graph(False, nodes, *_rows(order, rank, out), aux=aux)
+
+
+def bfs(adj, source: int, depth: int | None = None) -> tuple[list[int], dict[int, int]]:
+    """Breadth-first search over index rows such as Graph.adjacency().
+
+    Returns the visit order and each visited node's hop distance.  Rows
+    are walked in stored order, so ascending rows give the canonical
+    order.  With ``depth``, nodes farther than that are not visited.
+    """
+    dist = {source: 0}
+    order = [source]
+    for u in order:  # order grows while it is walked: that is the queue
+        d = dist[u] + 1
+        if depth is not None and d > depth:
+            break
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = d
+                order.append(v)
+    return order, dist
+
+
+def components(adj) -> list[list[int]]:
+    """Connected components of symmetric index rows, as ascending index
+    lists ordered by their smallest index."""
+    seen: set[int] = set()
+    result = []
+    for start in range(len(adj)):
+        if start not in seen:
+            order, _ = bfs(adj, start)
+            seen.update(order)
+            result.append(sorted(order))
+    return result
 
 
 @dataclass(frozen=True)

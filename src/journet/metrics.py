@@ -10,11 +10,11 @@ disconnected is hidden.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import Corpus, TimeIndex, snapshot
-from .graph import Graph, NodeRef
+from .graph import Graph, NodeRef, bfs, components
 from .layers import Layer, build_layer
 
 
@@ -71,8 +71,8 @@ def degree_stats(graph: Graph) -> DegreeStats:
     dist = dict(sorted(Counter(degrees).items()))
     stats = DegreeStats(sum(degrees) / len(nodes), max(degrees), dist)
     if graph.directed:
-        stats.mean_out_degree = sum(len(graph.neighbors(n)) for n in nodes) / len(nodes)
-        stats.mean_in_degree = sum(len(graph.in_neighbors(n)) for n in nodes) / len(nodes)
+        stats.mean_out_degree = sum(map(len, graph.adjacency("out"))) / len(nodes)
+        stats.mean_in_degree = sum(map(len, graph.adjacency("in"))) / len(nodes)
     return stats
 
 
@@ -83,19 +83,16 @@ def clustering(graph: Graph) -> ClusteringStats:
     neighbours; nodes of degree < 2 get C = 0 and stay in the mean.
     """
     g = graph.symmetrized()
+    nodes = g.nodes()
+    linked = [set(row) for row in g.adjacency()]
     per_node: dict[NodeRef, float] = {}
     triangles: dict[NodeRef, int] = {}
-    for v in g.nodes():
-        nbrs = g.neighbors(v)
+    for v, nbrs in enumerate(linked):
         k = len(nbrs)
-        count = 0
-        if k >= 2:
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if g.has_link(nbrs[i], nbrs[j]):
-                        count += 1
-        triangles[v] = count
-        per_node[v] = 2.0 * count / (k * (k - 1)) if k >= 2 else 0.0
+        # each link among the neighbours is seen from both of its ends
+        count = sum(len(linked[u] & nbrs) for u in nbrs) // 2
+        triangles[nodes[v]] = count
+        per_node[nodes[v]] = 2.0 * count / (k * (k - 1)) if k >= 2 else 0.0
     if not per_node:
         return ClusteringStats({}, 0.0, 0.0, {})
     values = list(per_node.values())
@@ -104,28 +101,15 @@ def clustering(graph: Graph) -> ClusteringStats:
 
 def bfs_distances(graph: Graph, source: NodeRef) -> dict[NodeRef, int]:
     """Hop distances from source to every reachable node (direction ignored)."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in graph.all_neighbors(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+    nodes = graph.nodes()
+    _, dist = bfs(graph.adjacency("both"), graph.index(source))
+    return {nodes[v]: d for v, d in dist.items()}
 
 
 def connected_components(graph: Graph) -> list[list[NodeRef]]:
     """Components as sorted node lists, ordered by their smallest node."""
-    seen: set[NodeRef] = set()
-    components = []
-    for node in graph.nodes():
-        if node in seen:
-            continue
-        members = sorted(bfs_distances(graph, node))
-        seen.update(members)
-        components.append(members)
-    return components
+    nodes = graph.nodes()
+    return [[nodes[v] for v in comp] for comp in components(graph.adjacency("both"))]
 
 
 def path_stats(graph: Graph) -> PathStats:
@@ -135,21 +119,22 @@ def path_stats(graph: Graph) -> PathStats:
     both.  Ties for largest go to the component holding the smallest
     node, keeping results deterministic.
     """
-    components = connected_components(graph)
-    if not components:
+    adj = graph.adjacency("both")
+    comps = components(adj)
+    if not comps:
         return PathStats(0.0, 0, 0, 0)
-    giant = max(components, key=len)
+    giant = max(comps, key=len)
     if len(giant) < 2:
-        return PathStats(0.0, 0, len(components), len(giant))
+        return PathStats(0.0, 0, len(comps), len(giant))
     total = 0
     diameter = 0
     for source in giant:
-        dist = bfs_distances(graph, source)
+        _, dist = bfs(adj, source)
         total += sum(dist.values())
         diameter = max(diameter, max(dist.values()))
     pairs = len(giant) * (len(giant) - 1) // 2
     # total counts each ordered pair once, i.e. each unordered pair twice
-    return PathStats(total / 2 / pairs, diameter, len(components), len(giant))
+    return PathStats(total / 2 / pairs, diameter, len(comps), len(giant))
 
 
 def metrics_report(graph: Graph) -> MetricsReport:

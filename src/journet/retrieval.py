@@ -8,12 +8,11 @@ layer by how many layers agree, then by total link weight.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .corpus import Corpus
-from .graph import Graph, NodeRef
+from .graph import Graph, NodeRef, bfs
 from .layers import Layer, build_layer
 
 DIRECTIONS = ("both", "out", "in")
@@ -40,23 +39,9 @@ def neighborhood(
         raise ValueError(f"depth must be >= 1, got {depth}")
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    step = {
-        "both": graph.all_neighbors,
-        "out": graph.neighbors,
-        "in": graph.in_neighbors,
-    }[direction]
-    dist = {seed: 0}
-    queue = deque([seed])
-    while queue:
-        u = queue.popleft()
-        if dist[u] == depth:
-            continue
-        for v in step(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    del dist[seed]
-    return NeighborhoodResult(seed, depth, dist)
+    nodes = graph.nodes()
+    _, dist = bfs(graph.adjacency(direction), graph.index(seed), depth)
+    return NeighborhoodResult(seed, depth, {nodes[v]: d for v, d in dist.items() if d})
 
 
 @dataclass

@@ -33,13 +33,12 @@ v1n2p1,external classic,
 """
 
 
-@pytest.fixture
-def corpus_file(tmp_path):
+def ingest(tmp_path, references=REFERENCES):
     for name, text in [
         ("papers.csv", PAPERS),
         ("authors.csv", AUTHORS),
         ("authorship.csv", AUTHORSHIP),
-        ("references.csv", REFERENCES),
+        ("references.csv", references),
     ]:
         (tmp_path / name).write_text(text, encoding="utf-8")
     out = tmp_path / "journal.corpus"
@@ -53,6 +52,11 @@ def corpus_file(tmp_path):
     ])
     assert code == 0
     return out
+
+
+@pytest.fixture
+def corpus_file(tmp_path):
+    return ingest(tmp_path)
 
 
 def test_ingest_reports_counts(corpus_file, tmp_path, capsys):
@@ -115,6 +119,39 @@ def test_neighbors_quartet_row(corpus_file, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == "node_id,distance\n3671,1\n3673,1\n3674,1\n"
+
+
+def test_neighbors_reads_node_as_the_layers_kind(tmp_path, capsys):
+    # a cited-work key that looks like an author id is still a cited work
+    corpus = ingest(tmp_path, REFERENCES + "v1n2p1,1990,\n")
+    code = main([
+        "neighbors", "--corpus", str(corpus), "--layer", "cocitation",
+        "--node", "1990", "--depth", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == "node_id,distance\nearlier quartet paper,1\nexternal classic,1\n"
+
+
+def test_neighbors_rejects_non_integer_author_id(corpus_file, capsys):
+    code = main([
+        "neighbors", "--corpus", str(corpus_file), "--layer", "coauthorship",
+        "--node", "v1n1p1", "--depth", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "v1n1p1" in captured.err
+
+
+@pytest.mark.parametrize("as_of", ["v0n1", "v1n0", "v01n1"])
+def test_stats_rejects_bad_as_of(corpus_file, capsys, as_of):
+    code = main([
+        "stats", "--corpus", str(corpus_file), "--layer", "coauthorship", "--as-of", as_of,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert as_of in captured.err
 
 
 def test_missing_required_flag_is_usage_error(corpus_file, capsys):

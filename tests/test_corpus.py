@@ -187,6 +187,15 @@ def test_parse_paper_id_round_trip():
             parse_paper_id(bad)
 
 
+def test_time_index_parse_rejects_what_paper_ids_reject():
+    assert TimeIndex.parse("v12n3") == TimeIndex(12, 3)
+    for bad in ["v0n1", "v1n0", "v01n1", "v1n01", "v1n1\n", "v1", "1n1"]:
+        with pytest.raises(ValueError):
+            TimeIndex.parse(bad)
+        with pytest.raises(ValueError):
+            parse_paper_id(bad + "p1")
+
+
 def test_normalize_ref_key():
     assert normalize_ref_key("  A   Cited\tWork ") == "a cited work"
 

@@ -1,0 +1,111 @@
+"""Byte-for-byte pins of CLI output on one seeded journal.
+
+The files in ``tests/golden/`` hold what the CLI printed for the
+commands in ``CASES`` on a corpus drawn by ``random_corpus`` with a
+fixed seed.  They pin the float sums of betweenness, modularity and
+path means, the dendrogram, BFS visit results and export bytes, so a
+change to the graph core that alters any of them fails here.
+
+Run ``PYTHONPATH=src python3 tests/test_golden.py`` from the repository
+root to write the files again; only do that for a deliberate change of output.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import random
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from journet.cli import main
+from journet.corpus import persist_corpus
+
+from conftest import random_corpus
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SEED = 20100707
+SEED_PAPER = "v1n3p5"
+RANK_LAYERS = "paper-common-author,paper-citation,paper-common-pacs,coupling"
+
+# fixture file -> CLI arguments after --corpus; "{out}" marks an --out path
+CASES = {
+    "stats-coauthorship.txt": ["stats", "--layer", "coauthorship"],
+    "stats-paper-citation.txt": ["stats", "--layer", "paper-citation"],
+    "dendrogram-coauthorship.txt": ["communities", "--layer", "coauthorship", "--dump-dendrogram"],
+    "partition-coauthorship.csv": ["communities", "--layer", "coauthorship"],
+    "dendrogram-paper-citation.txt": [
+        "communities", "--layer", "paper-citation", "--dump-dendrogram",
+    ],
+    "neighbors-out.csv": [
+        "neighbors", "--layer", "paper-citation", "--node", SEED_PAPER,
+        "--depth", "2", "--direction", "out",
+    ],
+    "neighbors-in.csv": [
+        "neighbors", "--layer", "paper-citation", "--node", SEED_PAPER,
+        "--depth", "2", "--direction", "in",
+    ],
+    "neighbors-both.csv": [
+        "neighbors", "--layer", "paper-citation", "--node", SEED_PAPER,
+        "--depth", "2", "--direction", "both",
+    ],
+    "rank.csv": ["rank", "--node", SEED_PAPER, "--layers", RANK_LAYERS],
+    "coauthorship.net": [
+        "export", "--layer", "coauthorship", "--format", "pajek", "--out", "{out}",
+    ],
+    "paper-citation.net": [
+        "export", "--layer", "paper-citation", "--format", "pajek", "--out", "{out}",
+    ],
+}
+
+
+def golden_corpus():
+    return random_corpus(
+        random.Random(SEED),
+        volumes=4,
+        issues_per_volume=3,
+        papers_per_issue=5,
+        author_pool=36,
+        external_keys=24,
+    )
+
+
+def run_case(corpus_path: Path, args: list[str], out_path: Path) -> str:
+    """CLI output of one case: stdout, or the --out file when it writes one."""
+    argv = [args[0], "--corpus", str(corpus_path)]
+    argv += [str(out_path) if a == "{out}" else a for a in args[1:]]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, f"{argv} exited {code}"
+    return out_path.read_text(encoding="utf-8") if "{out}" in args else buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def corpus_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "journal.corpus"
+    persist_corpus(golden_corpus(), path)
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, corpus_path, tmp_path):
+    expected = (GOLDEN / name).read_text(encoding="utf-8")
+    assert run_case(corpus_path, CASES[name], tmp_path / name) == expected
+
+
+def write_fixtures() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_path = Path(tmp) / "journal.corpus"
+        persist_corpus(golden_corpus(), corpus_path)
+        for name, args in sorted(CASES.items()):
+            text = run_case(corpus_path, args, Path(tmp) / name)
+            (GOLDEN / name).write_text(text, encoding="utf-8")
+            print(f"wrote {GOLDEN / name} ({len(text)} bytes)")
+
+
+if __name__ == "__main__":
+    write_fixtures()

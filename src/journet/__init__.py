@@ -1,8 +1,8 @@
 """Complex-network analysis of a scientific journal's metadata.
 
 Ingest paper/author/reference tables, build co-authorship, citation,
-co-citation, bibliographic-coupling and PACS layers (directly or as
-bipartite one-mode projections), compute standard network statistics
+co-citation, bibliographic-coupling and PACS layers (one-mode layers by
+counting the groups two nodes share), compute standard network statistics
 and divisive communities, answer multi-layer related-item queries, and
 export graphs in Pajek format.
 """

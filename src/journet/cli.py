@@ -37,14 +37,17 @@ def _node_for_layers(token: str, layers: list[Layer]) -> NodeRef:
 
     Cited-work keys are free text, so on cited-work layers any token is
     a key.  Author and paper ids have a fixed shape; a token of another
-    shape is an error, and the shape tells a bipartite layer's two
-    kinds apart.
+    shape is an error.  Where the layers hold two kinds, a ``kind:id``
+    token names the kind outright; otherwise the shape tells them apart.
     """
     kinds = frozenset.intersection(*(layer.node_kinds for layer in layers))
     if not kinds:
         raise ValueError(
             "the given layers hold no common node kind; pick layers over the same nodes"
         )
+    kind, sep, text = token.partition(":")
+    if len(kinds) > 1 and sep and kind in kinds:
+        kinds, token = frozenset({kind}), text
     if kinds == {REFERENCE}:
         return reference_node(token)
     node = infer_node(token)

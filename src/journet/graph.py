@@ -11,8 +11,9 @@ reports and exported files are reproducible byte for byte.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 AUTHOR = "author"
@@ -114,10 +115,6 @@ class Graph:
     def aux_counts(self) -> dict[NodeRef, int] | None:
         """Optional per-node auxiliary count (co-authorship: papers written)."""
         return dict(self._aux) if self._aux is not None else None
-
-    def with_aux(self, aux: Mapping[NodeRef, int]) -> "Graph":
-        """Same topology with an auxiliary count attached to every node."""
-        return Graph(self.directed, self._nodes, self._out, self._out_w, self._in, self._in_w, aux)
 
     # -- link accessors ----------------------------------------------------
 
@@ -239,6 +236,28 @@ def build_graph(
     if directed:
         return Graph(True, nodes, *_rows(order, rank, out), *_rows(order, rank, back), aux=aux)
     return Graph(False, nodes, *_rows(order, rank, out), aux=aux)
+
+
+def _co_members(member, groups) -> Counter:
+    """How many of ``groups``, sets all holding ``member``, each other member is in."""
+    counts = Counter(chain.from_iterable(groups))
+    del counts[member]
+    return counts
+
+
+def _pair_counts(kind: str, ids: Iterable, groups: Iterable[Iterable], aux=None) -> Graph:
+    """Undirected graph over ids of one node kind where two nodes link once
+    per group holding both; each group counts as a set of ids in ``ids``."""
+    ids = sorted(ids)
+    index = {x: i for i, x in enumerate(ids)}
+    held: list[list[set[int]]] = [[] for _ in ids]  # node -> the groups holding it
+    for group in groups:
+        members = {index[x] for x in group}
+        for i in members:
+            held[i].append(members)
+    arcs = {i: _co_members(i, sets) for i, sets in enumerate(held) if sets}
+    order = range(len(ids))
+    return Graph(False, tuple(NodeRef(kind, x) for x in ids), *_rows(order, order, arcs), aux=aux)
 
 
 def bfs(adj, source: int, depth: int | None = None) -> tuple[list[int], dict[int, int]]:

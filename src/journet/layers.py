@@ -1,18 +1,21 @@
 """Construction of every network layer a journal corpus supports.
 
-One-mode layers (co-authorship, common-author, common-PACS, co-citation,
-bibliographic coupling) and the directed citation layer, plus the three
-bipartite graphs they derive from.  Co-citation and coupling are
-computed straight from the reference lists; the shared-counterpart
-projections go through :func:`project_one_mode`, so the two routes stay
-independently checkable.
+Every layer is read off one of five relations in the corpus: an author
+wrote a paper, a paper carries a PACS code, a paper cites a work or a
+journal paper, and an author on record uses a code in any of their
+papers.  The bipartite layers and the citation layer hold a relation's
+links as they are.  A one-mode layer keeps one side of a relation and
+links two of its nodes once per node of the other side they share, as
+counted by one pair-count kernel.  :func:`build_layer` builds a whole
+layer; :func:`_seed_row` reads one node's row off the same relation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from typing import Callable
 
 from .corpus import Corpus
 from .graph import (
@@ -22,11 +25,10 @@ from .graph import (
     REFERENCE,
     Graph,
     NodeRef,
+    _co_members,
+    _pair_counts,
     author_node,
     build_graph,
-    pacs_node,
-    paper_node,
-    reference_node,
 )
 
 
@@ -50,29 +52,74 @@ class Layer(Enum):
 
     @property
     def bipartite(self) -> bool:
-        return self in (
-            Layer.BIPARTITE_AUTHOR_PAPER,
-            Layer.BIPARTITE_PAPER_PACS,
-            Layer.BIPARTITE_PAPER_REFERENCE,
-        )
+        return _LAYERS[self][1] is None and not self.directed
 
     @property
     def node_kinds(self) -> frozenset[str]:
         """Kinds of node this layer contains (two for bipartite layers)."""
-        return _LAYER_KINDS[self]
+        relation, side = _LAYERS[self]
+        return frozenset(relation.kinds if side is None else {relation.kinds[side]})
 
 
-_LAYER_KINDS = {
-    Layer.COAUTHORSHIP: frozenset({AUTHOR}),
-    Layer.AUTHOR_COMMON_PACS: frozenset({AUTHOR}),
-    Layer.PAPER_COMMON_AUTHOR: frozenset({PAPER}),
-    Layer.PAPER_CITATION: frozenset({PAPER}),
-    Layer.PAPER_COMMON_PACS: frozenset({PAPER}),
-    Layer.COUPLING: frozenset({PAPER}),
-    Layer.COCITATION: frozenset({REFERENCE}),
-    Layer.BIPARTITE_AUTHOR_PAPER: frozenset({AUTHOR, PAPER}),
-    Layer.BIPARTITE_PAPER_PACS: frozenset({PAPER, PACS}),
-    Layer.BIPARTITE_PAPER_REFERENCE: frozenset({PAPER, REFERENCE}),
+@dataclass(frozen=True)
+class _Relation:
+    """Links from left nodes (side 0) to right nodes (side 1).
+
+    ``nodes[s](corpus)`` gives every id on side ``s``, linked or not;
+    ``ends[s](corpus, x)`` the far end of each link of node ``x`` on side
+    ``s``, so a link given twice repeats its far end.
+    """
+
+    kinds: tuple[str, str]
+    nodes: tuple[Callable, Callable]
+    ends: tuple[Callable, Callable]
+
+
+def _cited_papers(corpus: Corpus, pid: str) -> set[str]:
+    return {r.internal_paper_id for r in corpus.papers[pid].reference_keys} - {None}
+
+
+_WROTE = _Relation(
+    (AUTHOR, PAPER),
+    (lambda c: c.authors.keys() | c.papers_by_author.keys(), lambda c: c.papers),
+    (lambda c, a: c.papers_by_author.get(a, ()), lambda c, p: c.papers[p].author_ids),
+)
+_CARRIES = _Relation(
+    (PAPER, PACS),
+    (lambda c: c.papers, lambda c: c.papers_by_pacs),
+    (lambda c, p: c.papers[p].pacs_codes, lambda c, k: c.papers_by_pacs[k]),
+)
+_CITES_WORK = _Relation(
+    (PAPER, REFERENCE),
+    (lambda c: c.papers, lambda c: c.citing_by_key),
+    (lambda c, p: {r.key for r in c.papers[p].reference_keys}, lambda c, k: c.citing_by_key[k]),
+)
+_CITES_PAPER = _Relation(
+    (PAPER, PAPER),
+    (lambda c: c.papers, lambda c: c.papers),
+    (_cited_papers, lambda c, q: [p for p in c.papers if q in _cited_papers(c, p)]),
+)
+_USES_CODE = _Relation(
+    (AUTHOR, PACS),
+    (lambda c: c.authors, lambda c: c.papers_by_pacs),
+    (lambda c, a: {k for p in c.papers_by_author.get(a, ()) for k in c.papers[p].pacs_codes},
+     lambda c, k: {a for p in c.papers_by_pacs[k] for a in c.papers[p].author_ids
+                   if a in c.authors}),
+)
+
+# Each layer as (relation, side): a one-mode layer keeps that side of the
+# relation; side None keeps the relation's links as the layer.
+_LAYERS = {
+    Layer.COAUTHORSHIP: (_WROTE, 0),
+    Layer.PAPER_COMMON_AUTHOR: (_WROTE, 1),
+    Layer.PAPER_COMMON_PACS: (_CARRIES, 0),
+    Layer.COUPLING: (_CITES_WORK, 0),
+    Layer.COCITATION: (_CITES_WORK, 1),
+    Layer.AUTHOR_COMMON_PACS: (_USES_CODE, 0),
+    Layer.PAPER_CITATION: (_CITES_PAPER, None),
+    Layer.BIPARTITE_AUTHOR_PAPER: (_WROTE, None),
+    Layer.BIPARTITE_PAPER_PACS: (_CARRIES, None),
+    Layer.BIPARTITE_PAPER_REFERENCE: (_CITES_WORK, None),
 }
 
 
@@ -91,10 +138,16 @@ class BipartiteGraph:
 
 def is_bipartite_between(graph: Graph, left_kind: str, right_kind: str) -> bool:
     """Scan check: every link joins one left-kind node to one right-kind node."""
-    for u, v, _ in graph.links():
-        if {u.kind, v.kind} != {left_kind, right_kind}:
-            return False
-    return True
+    return all({u.kind, v.kind} == {left_kind, right_kind} for u, v, _ in graph.links())
+
+
+def _link_graph(corpus: Corpus, relation: _Relation, directed: bool) -> Graph:
+    """A relation's links as a graph of weight-1 links, repeats added up."""
+    (left, right), ends = relation.kinds, relation.ends[0]
+    lefts, rights = relation.nodes[0](corpus), relation.nodes[1](corpus)
+    links = [(NodeRef(left, x), NodeRef(right, y), 1) for x in lefts for y in ends(corpus, x)]
+    nodes = [NodeRef(left, x) for x in lefts] + [NodeRef(right, y) for y in rights]
+    return build_graph(directed, links, isolated_nodes=nodes)
 
 
 def build_bipartite(corpus: Corpus, layer: Layer) -> BipartiteGraph:
@@ -104,32 +157,10 @@ def build_bipartite(corpus: Corpus, layer: Layer) -> BipartiteGraph:
     paper linked to each of its codes.  Paper-reference: paper linked to
     each distinct key in its reference list.  All weights are 1.
     """
-    links: list[tuple[NodeRef, NodeRef, int]] = []
-    isolated: list[NodeRef] = []
-
-    if layer is Layer.BIPARTITE_AUTHOR_PAPER:
-        left, right = AUTHOR, PAPER
-        isolated = [author_node(a) for a in corpus.authors]
-        isolated += [paper_node(p) for p in corpus.papers]
-        for pid in sorted(corpus.papers):
-            for aid in corpus.papers[pid].author_ids:
-                links.append((author_node(aid), paper_node(pid), 1))
-    elif layer is Layer.BIPARTITE_PAPER_PACS:
-        left, right = PAPER, PACS
-        isolated = [paper_node(p) for p in corpus.papers]
-        for pid in sorted(corpus.papers):
-            for code in sorted(corpus.papers[pid].pacs_codes):
-                links.append((paper_node(pid), pacs_node(code), 1))
-    elif layer is Layer.BIPARTITE_PAPER_REFERENCE:
-        left, right = PAPER, REFERENCE
-        isolated = [paper_node(p) for p in corpus.papers]
-        for pid in sorted(corpus.papers):
-            for key in sorted({r.key for r in corpus.papers[pid].reference_keys}):
-                links.append((paper_node(pid), reference_node(key), 1))
-    else:
+    if not layer.bipartite:
         raise ValueError(f"{layer.value} is not a bipartite layer")
-
-    return BipartiteGraph(build_graph(False, links, isolated_nodes=isolated), left, right)
+    relation, _ = _LAYERS[layer]
+    return BipartiteGraph(_link_graph(corpus, relation, False), *relation.kinds)
 
 
 def project_one_mode(bipartite: BipartiteGraph, side: str) -> Graph:
@@ -142,16 +173,9 @@ def project_one_mode(bipartite: BipartiteGraph, side: str) -> Graph:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     keep_kind = bipartite.left_kind if side == "left" else bipartite.right_kind
-    other = [n for n in bipartite.graph.nodes() if n.kind != keep_kind]
-
-    weights: dict[tuple[NodeRef, NodeRef], int] = {}
-    for counterpart in other:
-        for u, v in combinations(bipartite.graph.neighbors(counterpart), 2):
-            pair = (u, v)
-            weights[pair] = weights.get(pair, 0) + 1
-
-    links = [(u, v, w) for (u, v), w in weights.items()]
-    return build_graph(False, links, isolated_nodes=bipartite.side(side))
+    graph = bipartite.graph
+    groups = ([v.id for v in graph.neighbors(c)] for c in graph.nodes() if c.kind != keep_kind)
+    return _pair_counts(keep_kind, [n.id for n in bipartite.side(side)], groups)
 
 
 def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Graph:
@@ -160,75 +184,40 @@ def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Gr
     ``internal_only`` restricts the co-citation layer to cited works that
     are themselves journal papers; other layers ignore the flag.
     Citation arcs point from the citing paper to the cited one.
+    Co-authorship carries each author's paper count as aux counts.
     """
+    relation, side = _LAYERS[layer]
+    if side is None:
+        return _link_graph(corpus, relation, layer.directed)
+    ids = relation.nodes[side](corpus)
+    groups = (relation.ends[1 - side](corpus, g) for g in relation.nodes[1 - side](corpus))
+    if internal_only and layer is Layer.COCITATION:
+        keep = corpus.internal_id_for_key().keys()
+        ids, groups = keep & ids, (keep & set(g) for g in groups)
+    aux = None
     if layer is Layer.COAUTHORSHIP:
-        projected = project_one_mode(build_bipartite(corpus, Layer.BIPARTITE_AUTHOR_PAPER), "left")
-        paper_counts = {
-            author_node(aid): len(corpus.papers_by_author.get(aid, ()))
-            for aid in corpus.authors
-        }
-        return projected.with_aux(paper_counts)
+        aux = {author_node(a): len(corpus.papers_by_author.get(a, ())) for a in corpus.authors}
+    return _pair_counts(relation.kinds[side], ids, groups, aux)
 
-    if layer is Layer.PAPER_COMMON_AUTHOR:
-        return project_one_mode(build_bipartite(corpus, Layer.BIPARTITE_AUTHOR_PAPER), "right")
 
-    if layer is Layer.PAPER_COMMON_PACS:
-        return project_one_mode(build_bipartite(corpus, Layer.BIPARTITE_PAPER_PACS), "left")
-
-    if layer is Layer.AUTHOR_COMMON_PACS:
-        # Author uses a code if any of their papers carries it.
-        links = []
-        for aid in sorted(corpus.authors):
-            codes: set[str] = set()
-            for pid in corpus.papers_by_author.get(aid, ()):
-                codes |= corpus.papers[pid].pacs_codes
-            links += [(author_node(aid), pacs_node(code), 1) for code in sorted(codes)]
-        isolated = [author_node(a) for a in corpus.authors]
-        bip = BipartiteGraph(build_graph(False, links, isolated_nodes=isolated), AUTHOR, PACS)
-        return project_one_mode(bip, "left")
-
-    if layer is Layer.PAPER_CITATION:
-        arcs = set()
-        for pid in sorted(corpus.papers):
-            for ref in corpus.papers[pid].reference_keys:
-                if ref.internal_paper_id is not None:
-                    arcs.add((pid, ref.internal_paper_id))
-        links = [(paper_node(p), paper_node(q), 1) for p, q in sorted(arcs)]
-        isolated = [paper_node(p) for p in corpus.papers]
-        return build_graph(True, links, isolated_nodes=isolated)
-
-    if layer is Layer.COCITATION:
-        # Two works link once per paper whose reference list holds both.
-        internal_keys = set(corpus.internal_id_for_key()) if internal_only else None
-        weights: dict[tuple[NodeRef, NodeRef], int] = {}
-        seen_keys: set[str] = set()
-        for pid in sorted(corpus.papers):
-            keys = {r.key for r in corpus.papers[pid].reference_keys}
-            if internal_keys is not None:
-                keys &= internal_keys
-            seen_keys |= keys
-            for x, y in combinations(sorted(keys), 2):
-                pair = (reference_node(x), reference_node(y))
-                weights[pair] = weights.get(pair, 0) + 1
-        links = [(u, v, w) for (u, v), w in weights.items()]
-        isolated = [reference_node(k) for k in seen_keys]
-        return build_graph(False, links, isolated_nodes=isolated)
-
-    if layer is Layer.COUPLING:
-        # Papers link with weight = number of shared reference keys.
-        weights: dict[tuple[NodeRef, NodeRef], int] = {}
-        for citing in corpus.citing_by_key.values():
-            for p, q in combinations(citing, 2):
-                pair = (paper_node(p), paper_node(q))
-                weights[pair] = weights.get(pair, 0) + 1
-        links = [(u, v, w) for (u, v), w in weights.items()]
-        isolated = [paper_node(p) for p in corpus.papers]
-        return build_graph(False, links, isolated_nodes=isolated)
-
-    if layer.bipartite:
-        return build_bipartite(corpus, layer).graph
-
-    raise ValueError(f"unknown layer {layer!r}")
+def _seed_row(corpus: Corpus, layer: Layer, seed: NodeRef, direction: str) -> dict[NodeRef, int]:
+    """The seed's neighbours in one layer with their link weights, read off
+    the layer's relation: co-members of the groups holding the seed, or the
+    far ends of its links (``direction`` picks citation arcs; both ways add)."""
+    relation, side = _LAYERS[layer]
+    sides = [s for s in (0, 1) if relation.kinds[s] == seed.kind and side in (None, s)]
+    if not any(seed.id in relation.nodes[s](corpus) for s in sides):
+        raise ValueError(f"seed node {seed} is not in the graph")
+    if side is not None:
+        group_ids = set(relation.ends[side](corpus, seed.id))
+        groups = [set(relation.ends[1 - side](corpus, g)) for g in group_ids]
+        return {NodeRef(seed.kind, x): w for x, w in _co_members(seed.id, groups).items()}
+    if layer.directed:
+        sides = {"out": [0], "in": [1], "both": [0, 1]}[direction]
+    row = Counter()
+    for s in sides:
+        row.update(relation.ends[s](corpus, seed.id))
+    return {NodeRef(relation.kinds[1 - sides[0]], x): w for x, w in row.items()}
 
 
 def layer_from_token(token: str) -> Layer:

@@ -1,9 +1,11 @@
 """Related-item queries across one or several network layers.
 
 A neighborhood is the exact BFS ball of a given radius around a seed
-node.  Overlap queries intersect the direct neighbours of a seed across
-several layers; ranking orders every node adjacent in at least one
-layer by how many layers agree, then by total link weight.
+node in a built layer.  Overlap queries intersect the direct neighbours
+of a seed across several layers; ranking orders every node adjacent in
+at least one layer by how many layers agree, then by total link weight.
+Both read only the seed's own row of each layer, straight from the
+corpus, and build no layer.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .corpus import Corpus
 from .graph import Graph, NodeRef, bfs
-from .layers import Layer, build_layer
+from .layers import Layer, _seed_row
 
 DIRECTIONS = ("both", "out", "in")
 
@@ -75,22 +77,6 @@ def _check_query(seed: NodeRef, layers: Sequence[Layer], direction: str) -> tupl
     return deduped
 
 
-def _adjacent_weights(graph: Graph, seed: NodeRef, citation_direction: str) -> dict[NodeRef, int]:
-    """Direct neighbours with their link weights; arcs both ways add up."""
-    if not graph.has_node(seed):
-        raise ValueError(f"seed node {seed} is not in the graph")
-    if not graph.directed:
-        return {v: graph.weight(seed, v) for v in graph.neighbors(seed)}
-    weights: dict[NodeRef, int] = {}
-    if citation_direction in ("both", "out"):
-        for v in graph.neighbors(seed):
-            weights[v] = weights.get(v, 0) + graph.weight(seed, v)
-    if citation_direction in ("both", "in"):
-        for v in graph.in_neighbors(seed):
-            weights[v] = weights.get(v, 0) + graph.weight(v, seed)
-    return weights
-
-
 def layer_overlap(
     corpus: Corpus,
     seed: NodeRef,
@@ -101,8 +87,7 @@ def layer_overlap(
     layers = _check_query(seed, tuple(layers), citation_direction)
     per_layer: dict[Layer, frozenset[NodeRef]] = {}
     for layer in layers:
-        graph = build_layer(corpus, layer)
-        per_layer[layer] = frozenset(_adjacent_weights(graph, seed, citation_direction))
+        per_layer[layer] = frozenset(_seed_row(corpus, layer, seed, citation_direction))
     common = frozenset.intersection(*per_layer.values())
     return OverlapResult(seed, layers, per_layer, common)
 
@@ -122,8 +107,7 @@ def related_rank(
     counts: dict[NodeRef, int] = {}
     weights: dict[NodeRef, int] = {}
     for layer in layers:
-        graph = build_layer(corpus, layer)
-        for node, w in _adjacent_weights(graph, seed, citation_direction).items():
+        for node, w in _seed_row(corpus, layer, seed, citation_direction).items():
             counts[node] = counts.get(node, 0) + 1
             weights[node] = weights.get(node, 0) + w
     items = [RelatedItem(node, counts[node], weights[node]) for node in counts]

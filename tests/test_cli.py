@@ -133,6 +133,36 @@ def test_neighbors_reads_node_as_the_layers_kind(tmp_path, capsys):
     assert captured.out == "node_id,distance\nearlier quartet paper,1\nexternal classic,1\n"
 
 
+def test_bipartite_layer_reads_kind_prefixed_node(tmp_path, capsys):
+    # on a two-kind layer, "reference:1990" names the cited work 1990
+    corpus = ingest(tmp_path, REFERENCES + "v1n2p1,1990,\n")
+    argv = ["neighbors", "--corpus", str(corpus), "--layer", "bipartite-paper-reference",
+            "--depth", "1", "--node"]
+    assert main(argv + ["1990"]) == 2
+    assert "looks like a author id" in capsys.readouterr().err
+    code = main(argv + ["reference:1990"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == "node_id,distance\nv1n2p1,1\n"
+    code = main(argv + ["paper:v1n2p1"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == (
+        "node_id,distance\n1990,1\nearlier quartet paper,1\nexternal classic,1\n"
+    )
+
+
+def test_single_kind_layer_reads_prefix_as_part_of_the_id(tmp_path, capsys):
+    corpus = ingest(tmp_path, REFERENCES + "v1n2p1,reference:1990,\n")
+    code = main([
+        "neighbors", "--corpus", str(corpus), "--layer", "cocitation",
+        "--node", "reference:1990", "--depth", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out == "node_id,distance\nearlier quartet paper,1\nexternal classic,1\n"
+
+
 def test_neighbors_rejects_non_integer_author_id(corpus_file, capsys):
     code = main([
         "neighbors", "--corpus", str(corpus_file), "--layer", "coauthorship",

@@ -223,3 +223,69 @@ def test_layer_tokens_round_trip():
         assert layer_from_token(layer.value) is layer
     with pytest.raises(ValueError, match="valid layers"):
         layer_from_token("friendship")
+
+
+def record_counterparts(corpus):
+    """For each one-mode layer, its nodes and each node's counterparts,
+    read straight off the paper records."""
+    papers = corpus.papers
+    keys = {pid: {r.key for r in p.reference_keys} for pid, p in papers.items()}
+    authors = set(corpus.authors) | {a for p in papers.values() for a in p.author_ids}
+    works = set().union(*keys.values())
+    return {
+        Layer.COAUTHORSHIP: {
+            author_node(a): {pid for pid, p in papers.items() if a in p.author_ids} for a in authors
+        },
+        Layer.PAPER_COMMON_AUTHOR: {paper_node(pid): set(p.author_ids) for pid, p in papers.items()},
+        Layer.PAPER_COMMON_PACS: {paper_node(pid): set(p.pacs_codes) for pid, p in papers.items()},
+        Layer.COUPLING: {paper_node(pid): keys[pid] for pid in papers},
+        Layer.COCITATION: {
+            reference_node(k): {pid for pid in papers if k in keys[pid]} for k in works
+        },
+        Layer.AUTHOR_COMMON_PACS: {
+            author_node(a): {c for p in papers.values() if a in p.author_ids for c in p.pacs_codes}
+            for a in corpus.authors
+        },
+    }
+
+
+ONE_MODE = sorted(
+    (layer for layer in Layer if len(layer.node_kinds) == 1 and not layer.directed),
+    key=lambda layer: layer.value,
+)
+
+
+@pytest.mark.parametrize("layer", ONE_MODE, ids=lambda layer: layer.value)
+@pytest.mark.parametrize("seed", range(6))
+def test_one_mode_layer_matches_record_oracle(layer, seed):
+    corpus = random_corpus(random.Random(700 + seed))
+    counterparts = record_counterparts(corpus)[layer]
+    g = build_layer(corpus, layer)
+    assert {(u, v): w for u, v, w in g.links()} == brute_projection(counterparts, counterparts)
+    assert g.nodes() == sorted(counterparts)
+
+
+def test_author_listed_twice_counts_one_shared_paper():
+    # Corpus() accepts a repeated author; validate_corpus only reports it.
+    papers = [
+        make_paper("v1n1p1", [1, 2, 1], pacs={"05.50.+q"}),
+        make_paper("v1n1p2", [1, 3], pacs={"05.50.+q"}),
+        make_paper("v1n2p1", [2, 3, 3]),
+    ]
+    corpus = Corpus(papers, make_authors([1, 2, 3]))
+    bipartite = build_bipartite(corpus, Layer.BIPARTITE_AUTHOR_PAPER)
+    expected = {
+        Layer.COAUTHORSHIP: (project_one_mode(bipartite, "left"), {(1, 2): 1, (1, 3): 1, (2, 3): 1}),
+        Layer.PAPER_COMMON_AUTHOR: (
+            project_one_mode(bipartite, "right"),
+            {("v1n1p1", "v1n1p2"): 1, ("v1n1p1", "v1n2p1"): 1, ("v1n1p2", "v1n2p1"): 1},
+        ),
+    }
+    for layer, (projected, weights) in expected.items():
+        g = build_layer(corpus, layer)
+        assert g == projected
+        assert {(u.id, v.id): w for u, v, w in g.links()} == weights
+        counterparts = record_counterparts(corpus)[layer]
+        assert {(u, v): w for u, v, w in g.links()} == brute_projection(counterparts, counterparts)
+    pacs = build_layer(corpus, Layer.AUTHOR_COMMON_PACS)
+    assert {(u.id, v.id): w for u, v, w in pacs.links()} == {(1, 2): 1, (1, 3): 1, (2, 3): 1}

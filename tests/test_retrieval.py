@@ -1,12 +1,13 @@
+import dataclasses
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
-from journet.corpus import Corpus
-from journet.graph import author_node, build_graph, paper_node
+from journet.corpus import Corpus, ReferenceKey
+from journet.graph import NODE_KINDS, author_node, build_graph, paper_node
 from journet.layers import Layer, build_layer
-from journet.retrieval import layer_overlap, neighborhood, related_rank
+from journet.retrieval import RelatedItem, layer_overlap, neighborhood, related_rank
 
 from conftest import make_authors, make_paper, random_corpus, random_graph
 from oracles import floyd_warshall
@@ -214,3 +215,69 @@ def test_citation_direction_flag(triple_relation_corpus):
         citation_direction="out",
     )
     assert out_only.per_layer[Layer.PAPER_CITATION] == frozenset()
+
+
+def messy_corpus():
+    """A random journal that Corpus() accepts but validate_corpus faults:
+    one paper lists an author twice and an author without a record, and
+    one cites a journal paper that has no record."""
+    corpus = random_corpus(random.Random(99))
+    papers = [corpus.papers[pid] for pid in sorted(corpus.papers)]
+    papers[3] = dataclasses.replace(
+        papers[3], author_ids=papers[3].author_ids + (papers[3].author_ids[0], 555)
+    )
+    papers[7] = dataclasses.replace(
+        papers[7], reference_keys=papers[7].reference_keys + (ReferenceKey("lost", "v9n9p9"),)
+    )
+    return Corpus(papers, corpus.authors.values())
+
+
+def built_row(graph, seed, direction):
+    """The seed's neighbours and weights, read off a built layer."""
+    row = {}
+    if not graph.directed or direction != "in":
+        for v in graph.neighbors(seed):
+            row[v] = row.get(v, 0) + graph.weight(seed, v)
+    if graph.directed and direction != "out":
+        for v in graph.in_neighbors(seed):
+            row[v] = row.get(v, 0) + graph.weight(v, seed)
+    return row
+
+
+@pytest.mark.parametrize("corpus_id", ["random-41", "random-42", "messy"])
+def test_seed_rows_equal_built_rows(corpus_id):
+    if corpus_id == "messy":
+        corpus = messy_corpus()
+    else:
+        corpus = random_corpus(random.Random(int(corpus_id.split("-")[1])))
+    graphs = {layer: build_layer(corpus, layer) for layer in Layer}
+    ghost = paper_node("v8n8p8")
+    for kind in NODE_KINDS:
+        layers = [layer for layer in Layer if kind in layer.node_kinds]
+        seeds = sorted({v for layer in layers for v in graphs[layer].nodes() if v.kind == kind})
+        combos = [c for r in (2, 3) for c in combinations(layers, r)]
+        for combo, direction in [(c, d) for c in combos for d in ("both", "out", "in")]:
+            for seed in seeds:
+                if not all(graphs[layer].has_node(seed) for layer in combo):
+                    with pytest.raises(ValueError, match="is not in the graph"):
+                        related_rank(corpus, seed, combo, direction)
+                    continue
+                rows = {layer: built_row(graphs[layer], seed, direction) for layer in combo}
+                totals = {}
+                for row in rows.values():
+                    for v, w in row.items():
+                        count, weight = totals.get(v, (0, 0))
+                        totals[v] = (count + 1, weight + w)
+                expected = sorted(
+                    (RelatedItem(v, c, w) for v, (c, w) in totals.items()),
+                    key=lambda it: (-it.layer_count, -it.weight_sum, it.node.sort_key),
+                )
+                assert related_rank(corpus, seed, combo, direction) == expected
+                overlap = layer_overlap(corpus, seed, combo, direction)
+                assert overlap.per_layer == {layer: frozenset(rows[layer]) for layer in combo}
+                assert overlap.common == frozenset.intersection(*map(frozenset, rows.values()))
+            if kind == "paper":
+                with pytest.raises(ValueError, match="is not in the graph"):
+                    related_rank(corpus, ghost, combo, direction)
+                with pytest.raises(ValueError, match="is not in the graph"):
+                    layer_overlap(corpus, ghost, combo, direction)

@@ -209,10 +209,11 @@ class Corpus:
 
 
 def _index(papers: Mapping[str, PaperRecord], keys_of) -> dict:
-    """Map each key of ``keys_of(paper)`` to the sorted ids of its papers."""
+    """Map each key of ``keys_of(paper)`` to the sorted ids of its papers,
+    each paper listed once per key even where the paper repeats the key."""
     index: dict = {}
     for pid in sorted(papers):
-        for key in keys_of(papers[pid]):
+        for key in dict.fromkeys(keys_of(papers[pid])):
             index.setdefault(key, []).append(pid)
     return {key: tuple(pids) for key, pids in index.items()}
 

@@ -204,7 +204,6 @@ def build_graph(
     directed: bool,
     links: Iterable[tuple[NodeRef, NodeRef, int]],
     isolated_nodes: Iterable[NodeRef] = (),
-    aux: Mapping[NodeRef, int] | None = None,
 ) -> Graph:
     """Aggregate (u, v, weight) triples into a Graph.
 
@@ -234,8 +233,8 @@ def build_graph(
         rank[a] = i
     nodes = tuple(by_number[a] for a in order)
     if directed:
-        return Graph(True, nodes, *_rows(order, rank, out), *_rows(order, rank, back), aux=aux)
-    return Graph(False, nodes, *_rows(order, rank, out), aux=aux)
+        return Graph(True, nodes, *_rows(order, rank, out), *_rows(order, rank, back))
+    return Graph(False, nodes, *_rows(order, rank, out))
 
 
 def _co_members(member, groups) -> Counter:
@@ -303,19 +302,14 @@ class AdjacencyRow:
     aux_count: int
 
 
-def adjacency_rows(graph: Graph, aux: Mapping[NodeRef, int] | None = None) -> list[AdjacencyRow]:
+def adjacency_rows(graph: Graph) -> list[AdjacencyRow]:
     """One row per node, sorted by node id.
 
     For directed graphs the neighbour column is the union of out- and
-    in-neighbours and the degree counts them once each.  ``aux`` (or the
-    graph's own aux counts) fills the last column; absent both, zero.
+    in-neighbours and the degree counts them once each.  The graph's own
+    aux counts fill the last column; a graph without them gives zero.
     """
-    if aux is None:
-        aux = graph.aux_counts
-    if aux is not None:
-        missing = [n for n in graph.nodes() if n not in aux]
-        if missing:
-            raise ValueError(f"aux mapping does not cover node {missing[0]}")
+    aux = graph.aux_counts
     rows = []
     for node in graph.nodes():
         nbrs = tuple(graph.all_neighbors(node))

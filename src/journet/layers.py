@@ -82,7 +82,7 @@ def _cited_papers(corpus: Corpus, pid: str) -> set[str]:
 _WROTE = _Relation(
     (AUTHOR, PAPER),
     (lambda c: c.authors.keys() | c.papers_by_author.keys(), lambda c: c.papers),
-    (lambda c, a: c.papers_by_author.get(a, ()), lambda c, p: c.papers[p].author_ids),
+    (lambda c, a: c.papers_by_author.get(a, ()), lambda c, p: set(c.papers[p].author_ids)),
 )
 _CARRIES = _Relation(
     (PAPER, PACS),
@@ -196,7 +196,7 @@ def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Gr
         ids, groups = keep & ids, (keep & set(g) for g in groups)
     aux = None
     if layer is Layer.COAUTHORSHIP:
-        aux = {author_node(a): len(corpus.papers_by_author.get(a, ())) for a in corpus.authors}
+        aux = {author_node(a): len(corpus.papers_by_author.get(a, ())) for a in ids}
     return _pair_counts(relation.kinds[side], ids, groups, aux)
 
 

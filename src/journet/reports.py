@@ -56,7 +56,7 @@ def metrics_csv(report: MetricsReport) -> str:
     return _csv_text(rows, ["metric", "value"])
 
 
-def adjacency_report_csv(graph: Graph, aux: Mapping[NodeRef, int] | None = None) -> str:
+def adjacency_report_csv(graph: Graph) -> str:
     """Per-node nearest-neighbour table: id, neighbour ids, degree, aux count."""
     rows = [
         (
@@ -65,7 +65,7 @@ def adjacency_report_csv(graph: Graph, aux: Mapping[NodeRef, int] | None = None)
             row.degree,
             row.aux_count,
         )
-        for row in adjacency_rows(graph, aux)
+        for row in adjacency_rows(graph)
     ]
     return _csv_text(rows, ["node_id", "neighbour_ids", "degree", "aux_count"])
 

@@ -224,3 +224,13 @@ def test_criterion_9_round_trips(tmp_path):
             text = export_pajek(g)
             assert parse_pajek(text) == g
             assert export_pajek(parse_pajek(text)) == text
+
+
+def test_criterion_10_evolution_on_1500_papers():
+    corpus = preferential_attachment_corpus(random.Random(5), n_papers=1500)
+    with criterion(10, "node_count evolution, 1.5k papers, 30 snapshots", 5.0):
+        series = evolution_series(corpus, Layer.COAUTHORSHIP, "node_count")
+    values = [v for _, v in series.points]
+    assert [t for t, _ in series.points] == corpus.time_indexes()
+    assert len(values) == 30 and values == sorted(values)
+    assert values[-1] == build_layer(corpus, Layer.COAUTHORSHIP).node_count == corpus.author_count

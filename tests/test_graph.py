@@ -130,12 +130,6 @@ def test_adjacency_rows_directed_union():
     assert rows["v1n1p1"].degree == 2
 
 
-def test_adjacency_rows_aux_must_cover():
-    g = build_graph(False, [(A, B, 1)])
-    with pytest.raises(ValueError, match="aux"):
-        adjacency_rows(g, aux={A: 1})
-
-
 def test_adjacency_rows_degree_matches_scan():
     rng = random.Random(11)
     g = random_graph(rng, 15, 0.3)

@@ -5,6 +5,7 @@ import pytest
 
 from journet.corpus import Corpus
 from journet.graph import (
+    adjacency_rows,
     author_node,
     build_graph,
     paper_node,
@@ -20,6 +21,7 @@ from journet.layers import (
     layer_from_token,
     project_one_mode,
 )
+from journet.retrieval import related_rank
 
 from conftest import make_authors, make_paper, random_corpus
 from oracles import brute_projection
@@ -289,3 +291,19 @@ def test_author_listed_twice_counts_one_shared_paper():
         assert {(u, v): w for u, v, w in g.links()} == brute_projection(counterparts, counterparts)
     pacs = build_layer(corpus, Layer.AUTHOR_COMMON_PACS)
     assert {(u.id, v.id): w for u, v, w in pacs.links()} == {(1, 2): 1, (1, 3): 1, (2, 3): 1}
+
+
+def test_repeated_author_counts_once_in_indexes_links_and_aux():
+    # Corpus() accepts a repeated author and an author without a record.
+    papers = [make_paper("v1n1p1", [10, 10, 11]), make_paper("v1n1p2", [10, 12])]
+    corpus = Corpus(papers, make_authors([10, 11]))
+    assert corpus.papers_by_author == {10: ("v1n1p1", "v1n1p2"), 11: ("v1n1p1",), 12: ("v1n1p2",)}
+    g = build_layer(corpus, Layer.COAUTHORSHIP)
+    assert {node.id: count for node, count in g.aux_counts.items()} == {10: 2, 11: 1, 12: 1}
+    assert [(row.node.id, row.aux_count) for row in adjacency_rows(g)] == [(10, 2), (11, 1), (12, 1)]
+    bipartite = build_layer(corpus, Layer.BIPARTITE_AUTHOR_PAPER)
+    assert {w for _, _, w in bipartite.links()} == {1}
+    ranked = related_rank(corpus, paper_node("v1n1p1"),
+                          (Layer.BIPARTITE_AUTHOR_PAPER, Layer.PAPER_COMMON_AUTHOR))
+    assert [(item.node, item.weight_sum) for item in ranked] == [
+        (author_node(10), 1), (author_node(11), 1), (paper_node("v1n1p2"), 1)]

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -6,6 +7,7 @@ from journet.corpus import Corpus, TimeIndex, snapshot
 from journet.graph import author_node, build_graph
 from journet.layers import Layer, build_layer
 from journet.metrics import (
+    EVOLUTION_METRICS,
     clustering,
     degree_stats,
     evolution_series,
@@ -228,3 +230,77 @@ def test_evolution_counts_non_decreasing_and_recomputable():
             g = build_layer(snapshot(corpus, t), Layer.PAPER_COMMON_AUTHOR)
             expected = g.node_count if metric == "node_count" else g.link_count
             assert value == expected
+
+
+EVOLUTION_LAYERS = [
+    Layer.COAUTHORSHIP,
+    Layer.PAPER_COMMON_AUTHOR,
+    Layer.PAPER_CITATION,
+    Layer.COCITATION,
+    Layer.BIPARTITE_AUTHOR_PAPER,
+]
+
+
+def component_sizes(graph):
+    """Component sizes by a plain BFS over the graph's links, direction ignored."""
+    nbrs = {v: set() for v in graph.nodes()}
+    for u, v, _ in graph.links():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    seen, sizes = set(), []
+    for start in nbrs:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, size = deque([start]), 0
+        while queue:
+            size += 1
+            for v in nbrs[queue.popleft()] - seen:
+                seen.add(v)
+                queue.append(v)
+        sizes.append(size)
+    return sizes
+
+
+@pytest.mark.parametrize("layer", EVOLUTION_LAYERS, ids=lambda layer: layer.value)
+def test_evolution_equals_full_report_and_oracles(layer):
+    for seed in (72, 73, 74):
+        corpus = random_corpus(random.Random(seed))
+        graphs = {t: build_layer(snapshot(corpus, t), layer) for t in corpus.time_indexes()}
+        series = {m: evolution_series(corpus, layer, m) for m in EVOLUTION_METRICS}
+        for metric, s in series.items():
+            assert [t for t, _ in s.points] == list(graphs)
+            for t, value in s.points:
+                assert repr(value) == repr(getattr(metrics_report(graphs[t]), metric))
+        values = {m: dict(s.points) for m, s in series.items()}
+        for t, g in graphs.items():
+            nbrs = {v: set(g.all_neighbors(v)) for v in g.nodes()}
+            per_node = triangle_clustering(nbrs)
+            assert values["mean_clustering"][t] == pytest.approx(
+                sum(per_node.values()) / len(per_node), abs=1e-12)
+            sizes = component_sizes(g)
+            assert values["giant_component_size"][t] == max(sizes, default=0)
+            assert values["component_count"][t] == len(sizes)
+
+
+def test_evolution_runs_neither_full_report_nor_paths(monkeypatch):
+    import journet.metrics
+
+    def forbidden(graph):
+        raise AssertionError("evolution must compute only the asked metric")
+
+    monkeypatch.setattr(journet.metrics, "metrics_report", forbidden)
+    monkeypatch.setattr(journet.metrics, "path_stats", forbidden)
+    corpus = random_corpus(random.Random(75))
+    for metric in EVOLUTION_METRICS:
+        assert evolution_series(corpus, Layer.COAUTHORSHIP, metric).points
+
+
+def test_evolution_of_empty_corpus_and_empty_layer():
+    assert evolution_series(Corpus([], []), Layer.COAUTHORSHIP, "giant_component_size").points == []
+    # a snapshot without references gives an empty co-citation layer
+    corpus = Corpus([make_paper("v1n1p1", [1])], make_authors([1]))
+    for metric in EVOLUTION_METRICS:
+        (point,) = evolution_series(corpus, Layer.COCITATION, metric).points
+        report = metrics_report(build_layer(corpus, Layer.COCITATION))
+        assert repr(point[1]) == repr(getattr(report, metric))

@@ -5,6 +5,7 @@ The graphs are seeded random graphs, sparse ones among them so that
 several components (and isolated nodes) occur.
 """
 
+import math
 import random
 
 import pytest
@@ -104,3 +105,35 @@ def test_directed_citation_layer_matches_networkx():
     ours = clustering(graph).per_node
     for node, value in nx.clustering(undirected).items():
         assert ours[node] == pytest.approx(value, abs=1e-12)
+
+
+def test_girvan_newman_levels_match_networkx_until_a_tie():
+    # Tied maxima may be broken differently, so each dendrogram is compared
+    # level by level up to the first removal whose maximum is tied.  The
+    # last removals always tie, so no full dendrogram is tie-free.
+    compared = 0
+    for n, p in ((14, 0.3), (20, 0.2), (30, 0.12)):
+        for seed in range(20):
+            graph = random_graph(random.Random(seed), n, p)
+            # plain author ids as networkx nodes: hashing them is cheap
+            g = nx.Graph()
+            g.add_nodes_from(v.id for v in graph.nodes())
+            g.add_edges_from((u.id, v.id) for u, v, _ in graph.links())
+            tied = []
+
+            def most_valuable_edge(h):
+                scores = nx.edge_betweenness_centrality(h, normalized=False)
+                edge = max(scores, key=scores.get)
+                tied.append(sum(math.isclose(s, scores[edge]) for s in scores.values()) > 1)
+                return edge
+
+            theirs = nx.community.girvan_newman(g, most_valuable_edge)
+            for record, level in zip(girvan_newman(graph).records[1:], theirs):
+                if any(tied):
+                    break
+                groups = {}
+                for node, label in record.partition.items():
+                    groups.setdefault(label, set()).add(node.id)
+                assert {frozenset(c) for c in level} == {frozenset(c) for c in groups.values()}
+                compared += 1
+    assert compared >= 100

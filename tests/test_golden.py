@@ -3,8 +3,9 @@
 The files in ``tests/golden/`` hold what the CLI printed for the
 commands in ``CASES`` on a corpus drawn by ``random_corpus`` with a
 fixed seed.  They pin the float sums of betweenness, modularity and
-path means, the dendrogram, BFS visit results and export bytes, so a
-change to the graph core that alters any of them fails here.
+path means, the dendrogram, BFS visit results, export bytes and the
+metrics of time slices (evolution, ``--as-of``), so a change to the
+graph core or to snapshots that alters any of them fails here.
 
 Run ``PYTHONPATH=src python3 tests/test_golden.py`` from the repository
 root to write the files again; only do that for a deliberate change of output.
@@ -58,6 +59,15 @@ CASES = {
     "paper-citation.net": [
         "export", "--layer", "paper-citation", "--format", "pajek", "--out", "{out}",
     ],
+    "evolution-coauthorship-mean_clustering.csv": [
+        "evolution", "--layer", "coauthorship", "--metric", "mean_clustering",
+        "--out", "{out}",
+    ],
+    "evolution-paper-citation-component_count.csv": [
+        "evolution", "--layer", "paper-citation", "--metric", "component_count",
+        "--out", "{out}",
+    ],
+    "stats-coauthorship-as-of-v2n3.txt": ["stats", "--layer", "coauthorship", "--as-of", "v2n3"],
 }
 
 

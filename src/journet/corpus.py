@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import total_ordering
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -141,8 +141,9 @@ class Corpus:
     """Immutable record store with derived inverted indexes.
 
     ``papers_by_author``, ``papers_by_pacs`` and ``citing_by_key`` are
-    computed at construction; they map to sorted tuples of paper ids.
-    Do not mutate a corpus after building it.
+    derived once, at construction, and trusted from then on; they map to
+    sorted tuples of paper ids.  A corpus is never mutated: ingest, load
+    and snapshot each build a new one from its records.
     """
 
     def __init__(
@@ -167,9 +168,12 @@ class Corpus:
                 raise ValueError(f"duplicate affiliation id {f.affiliation_id}")
             self.affiliations[f.affiliation_id] = f
 
-        self.papers_by_author = _index_papers_by_author(self.papers)
-        self.papers_by_pacs = _index_papers_by_pacs(self.papers)
-        self.citing_by_key = _index_citing_by_key(self.papers)
+        self.papers_by_author: dict[int, tuple[str, ...]] = _index(
+            self.papers, lambda p: p.author_ids)
+        self.papers_by_pacs: dict[str, tuple[str, ...]] = _index(
+            self.papers, lambda p: sorted(p.pacs_codes))
+        self.citing_by_key: dict[str, tuple[str, ...]] = _index(
+            self.papers, lambda p: sorted({ref.key for ref in p.reference_keys}))
 
     @property
     def paper_count(self) -> int:
@@ -218,18 +222,6 @@ def _index(papers: Mapping[str, PaperRecord], keys_of) -> dict:
     return {key: tuple(pids) for key, pids in index.items()}
 
 
-def _index_papers_by_author(papers: Mapping[str, PaperRecord]) -> dict[int, tuple[str, ...]]:
-    return _index(papers, lambda paper: paper.author_ids)
-
-
-def _index_papers_by_pacs(papers: Mapping[str, PaperRecord]) -> dict[str, tuple[str, ...]]:
-    return _index(papers, lambda paper: sorted(paper.pacs_codes))
-
-
-def _index_citing_by_key(papers: Mapping[str, PaperRecord]) -> dict[str, tuple[str, ...]]:
-    return _index(papers, lambda paper: sorted({ref.key for ref in paper.reference_keys}))
-
-
 def validate_corpus(corpus: Corpus) -> ValidationReport:
     """List every invariant violation; an empty report means the corpus is valid.
 
@@ -273,15 +265,6 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
         for fid in sorted(corpus.authors[aid].affiliation_ids):
             if fid not in corpus.affiliations:
                 bad("dangling-affiliation", aid, f"affiliation {fid} has no record")
-
-    # Index drift would mean the corpus was mutated after construction.
-    if corpus.papers_by_author != _index_papers_by_author(corpus.papers):
-        bad("index-mismatch", "papers_by_author", "stored index differs from rebuild")
-    if corpus.papers_by_pacs != _index_papers_by_pacs(corpus.papers):
-        bad("index-mismatch", "papers_by_pacs", "stored index differs from rebuild")
-    if corpus.citing_by_key != _index_citing_by_key(corpus.papers):
-        bad("index-mismatch", "citing_by_key", "stored index differs from rebuild")
-
     return ValidationReport(out)
 
 
@@ -295,7 +278,7 @@ AFFILIATIONS_HEADER = ["affiliation_id", "name", "country"]
 
 
 def _read_rows(path, expected_header, problems):
-    """Yield (line_number, row) for every data row; header and arity checked."""
+    """Yield ("file:line", row) for every data row; header and arity checked."""
     path = Path(path)
     # utf-8-sig: spreadsheet exports often prepend a BOM
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -313,13 +296,11 @@ def _read_rows(path, expected_header, problems):
         for row in reader:
             if not row:
                 continue
-            line = reader.line_num
+            where = f"{path.name}:{reader.line_num}"
             if len(row) != len(expected_header):
-                problems.append(
-                    f"{path.name}:{line}: expected {len(expected_header)} fields, got {len(row)}"
-                )
+                problems.append(f"{where}: expected {len(expected_header)} fields, got {len(row)}")
                 continue
-            yield line, row
+            yield where, row
 
 
 def _parse_int(text, what, where, problems, minimum=None):
@@ -343,9 +324,9 @@ def ingest_corpus(
 ) -> Corpus:
     """Build a validated corpus from the five CSV tables.
 
-    Any malformed row, duplicate primary id or dangling foreign id is
-    fatal: an IngestError carries every problem found (with file and
-    line number) and nothing partial is returned.  The affiliations file
+    Any malformed row, duplicate primary id, dangling foreign id or
+    paper without authors is fatal: an IngestError carries every problem
+    found (with file and line number) and nothing partial is returned.  The affiliations file
     is optional and its absence means an empty affiliation table.  Input
     row order never affects the result: authors sort by the explicit
     position column, reference lists by key.
@@ -354,9 +335,7 @@ def ingest_corpus(
 
     affiliations: dict[int, AffiliationRecord] = {}
     if affiliations_file is not None:
-        name = Path(affiliations_file).name
-        for line, row in _read_rows(affiliations_file, AFFILIATIONS_HEADER, problems):
-            where = f"{name}:{line}"
+        for where, row in _read_rows(affiliations_file, AFFILIATIONS_HEADER, problems):
             fid = _parse_int(row[0], "affiliation_id", where, problems)
             if fid is None:
                 continue
@@ -366,9 +345,7 @@ def ingest_corpus(
             affiliations[fid] = AffiliationRecord(fid, row[1], row[2] or None)
 
     authors: dict[int, AuthorRecord] = {}
-    name = Path(authors_file).name
-    for line, row in _read_rows(authors_file, AUTHORS_HEADER, problems):
-        where = f"{name}:{line}"
+    for where, row in _read_rows(authors_file, AUTHORS_HEADER, problems):
         aid = _parse_int(row[0], "author_id", where, problems)
         if aid is None:
             continue
@@ -390,10 +367,8 @@ def ingest_corpus(
         if ok:
             authors[aid] = AuthorRecord(aid, row[1], frozenset(fids))
 
-    paper_rows: dict[str, tuple[str, int, int, int | None, frozenset[str]]] = {}
-    name = Path(papers_file).name
-    for line, row in _read_rows(papers_file, PAPERS_HEADER, problems):
-        where = f"{name}:{line}"
+    paper_rows: dict[str, tuple[str, str, int, int, int | None, frozenset[str]]] = {}
+    for where, row in _read_rows(papers_file, PAPERS_HEADER, problems):
         pid = row[0]
         try:
             vol, iss, _ = parse_paper_id(pid)
@@ -424,12 +399,10 @@ def ingest_corpus(
                 continue
             codes.add(code)
         if ok:
-            paper_rows[pid] = (row[1], volume, issue, year, frozenset(codes))
+            paper_rows[pid] = (where, row[1], volume, issue, year, frozenset(codes))
 
     authorship: dict[str, dict[int, int]] = {}
-    name = Path(authorship_file).name
-    for line, row in _read_rows(authorship_file, AUTHORSHIP_HEADER, problems):
-        where = f"{name}:{line}"
+    for where, row in _read_rows(authorship_file, AUTHORSHIP_HEADER, problems):
         pid = row[0]
         aid = _parse_int(row[1], "author_id", where, problems)
         pos = _parse_int(row[2], "position", where, problems, minimum=1)
@@ -451,9 +424,7 @@ def ingest_corpus(
         slots[pos] = aid
 
     references: dict[str, dict[str, ReferenceKey]] = {}
-    name = Path(references_file).name
-    for line, row in _read_rows(references_file, REFERENCES_HEADER, problems):
-        where = f"{name}:{line}"
+    for where, row in _read_rows(references_file, REFERENCES_HEADER, problems):
         pid = row[0]
         if pid not in paper_rows:
             problems.append(f"{where}: unknown citing paper id {pid}")
@@ -476,12 +447,11 @@ def ingest_corpus(
             continue
         refs[key] = ReferenceKey(key, internal)
 
-    if problems:
-        raise IngestError(problems)
-
     papers = []
-    for pid, (title, volume, issue, year, codes) in paper_rows.items():
+    for pid, (where, title, volume, issue, year, codes) in paper_rows.items():
         slots = authorship.get(pid, {})
+        if not slots:
+            problems.append(f"{where}: paper {pid} has no authors")
         author_ids = tuple(slots[pos] for pos in sorted(slots))
         refs = references.get(pid, {})
         papers.append(
@@ -496,6 +466,8 @@ def ingest_corpus(
                 reference_keys=tuple(refs[k] for k in sorted(refs)),
             )
         )
+    if problems:
+        raise IngestError(problems)
 
     corpus = Corpus(papers, authors.values(), affiliations.values())
     report = validate_corpus(corpus)
@@ -512,7 +484,9 @@ def snapshot(corpus: Corpus, as_of: TimeIndex) -> Corpus:
 
     A citation whose in-journal target falls outside the snapshot keeps
     its key but loses the internal id, exactly as it would have been
-    ingested before the target existed.  The result is itself valid.
+    ingested before the target existed.  Only a paper with such a
+    citation gets a new record; every other record is the parent's own
+    object.  The result is itself valid.
     """
     kept = {pid for pid, p in corpus.papers.items() if p.time_index <= as_of}
 
@@ -521,22 +495,12 @@ def snapshot(corpus: Corpus, as_of: TimeIndex) -> Corpus:
     for pid in sorted(kept):
         p = corpus.papers[pid]
         author_ids.update(p.author_ids)
-        refs = tuple(
-            ref if ref.internal_paper_id in kept else ReferenceKey(ref.key, None)
-            for ref in p.reference_keys
-        )
-        papers.append(
-            PaperRecord(
-                paper_id=p.paper_id,
-                title=p.title,
-                volume=p.volume,
-                issue=p.issue,
-                year=p.year,
-                author_ids=p.author_ids,
-                pacs_codes=p.pacs_codes,
-                reference_keys=refs,
-            )
-        )
+        if any(ref.internal_paper_id not in kept
+               for ref in p.reference_keys if ref.internal_paper_id is not None):
+            p = replace(p, reference_keys=tuple(
+                ref if ref.internal_paper_id in kept else ReferenceKey(ref.key)
+                for ref in p.reference_keys))
+        papers.append(p)
 
     authors = [corpus.authors[aid] for aid in sorted(author_ids)]
     affiliation_ids = sorted({fid for a in authors for fid in a.affiliation_ids})

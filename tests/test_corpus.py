@@ -109,6 +109,14 @@ def test_ingest_dangling_author_names_file_and_line(tmp_path):
         ingest(tmp_path, authorship=bad)
 
 
+def test_ingest_authorless_paper_names_file_and_line(tmp_path):
+    papers = "paper_id,title,volume,issue,year,pacs\nv1n1p1,One,1,1,,\nv1n1p2,Two,1,1,,\n"
+    authorship = "paper_id,author_id,position\nv1n1p1,10,1\n"
+    references = "citing_paper_id,ref_key,internal_paper_id\n"
+    with pytest.raises(IngestError, match=r"papers\.csv:3.*v1n1p2"):
+        ingest(tmp_path, papers=papers, authorship=authorship, references=references)
+
+
 def test_ingest_duplicate_paper_fatal(tmp_path):
     bad = PAPERS + "v1n1p1,Again,1,1,2001,\n"
     with pytest.raises(IngestError, match="duplicate paper id"):
@@ -263,12 +271,15 @@ def test_snapshot_monotone_and_idempotent():
 def test_snapshot_detaches_forward_citations():
     papers = [
         make_paper("v1n1p1", [10], refs=[("future work", "v2n1p1")]),
+        make_paper("v1n1p2", [11], refs=["old work", ("first paper", "v1n1p1")]),
         make_paper("v2n1p1", [11]),
     ]
     corpus = Corpus(papers, make_authors([10, 11]))
     snap = snapshot(corpus, TimeIndex(1, 1))
     (ref,) = snap.papers["v1n1p1"].reference_keys
     assert ref.key == "future work" and ref.internal_paper_id is None
+    # a paper that cites nothing outside the snapshot keeps its record object
+    assert snap.papers["v1n1p2"] is corpus.papers["v1n1p2"]
     assert validate_corpus(snap).ok
 
 

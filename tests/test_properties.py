@@ -1,9 +1,10 @@
-"""Property tests: snapshots and persistence on generated corpora.
+"""Property tests: snapshots, persistence, ingest and Pajek on generated corpora.
 
 hypothesis is a test-only dependency; without it this module is skipped.
 Runs are derandomized, so every run draws the same examples.
 """
 
+import csv
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -22,23 +23,30 @@ from journet.corpus import (  # noqa: E402
     PaperRecord,
     ReferenceKey,
     TimeIndex,
+    ingest_corpus,
     load_corpus,
+    normalize_ref_key,
     persist_corpus,
     snapshot,
     validate_corpus,
 )
+from journet.layers import Layer, build_layer  # noqa: E402
+from journet.pajek import export_pajek, parse_pajek  # noqa: E402
 
 from conftest import PACS_POOL  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 
 time_indexes = st.builds(TimeIndex, st.integers(1, 3), st.integers(1, 3))
+# reference keys as ingest leaves them: normalized and non-empty
+normalized_keys = st.text(min_size=1, max_size=8).map(normalize_ref_key).filter(bool)
 
 
 @st.composite
-def corpora(draw):
+def corpora(draw, key_texts=st.text(min_size=1, max_size=8)):
     """A valid corpus: papers over up to nine issues, free-text titles, names
-    and reference keys, and citations of papers drawn before them."""
+    and reference keys (drawn from ``key_texts``), and citations of papers drawn
+    before them."""
     affiliations = [
         AffiliationRecord(fid, draw(st.text(max_size=6)), draw(st.none() | st.text(max_size=4)))
         for fid in range(draw(st.integers(0, 3)))
@@ -54,7 +62,7 @@ def corpora(draw):
     for t in draw(st.lists(time_indexes, max_size=10)):
         seq[t] += 1
         pid = f"v{t.volume}n{t.issue}p{seq[t]}"
-        keys = draw(st.lists(st.text(min_size=1, max_size=8), max_size=3, unique=True))
+        keys = draw(st.lists(key_texts, max_size=3, unique=True))
         refs = [ReferenceKey(k) for k in keys]
         for target in draw(st.lists(st.sampled_from([p.paper_id for p in papers]), max_size=2,
                                     unique=True)) if papers else ():
@@ -107,3 +115,71 @@ def test_persist_load_persist_is_byte_stable(corpus):
         assert loaded == corpus
         persist_corpus(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+
+
+def _write_tables(corpus, folder, draw_order):
+    """Write ``corpus`` as the five CSV tables, each table's rows in the
+    order ``draw_order(rows)`` returns; return the paths in ingest order."""
+    tables = {
+        "papers.csv": (["paper_id", "title", "volume", "issue", "year", "pacs"], [
+            [p.paper_id, p.title, p.volume, p.issue, "" if p.year is None else p.year,
+             ";".join(sorted(p.pacs_codes))] for p in corpus.papers.values()]),
+        "authors.csv": (["author_id", "name", "affiliation_ids"], [
+            [a.author_id, a.name, ";".join(map(str, sorted(a.affiliation_ids)))]
+            for a in corpus.authors.values()]),
+        "authorship.csv": (["paper_id", "author_id", "position"], [
+            [p.paper_id, aid, pos] for p in corpus.papers.values()
+            for pos, aid in enumerate(p.author_ids, start=1)]),
+        "references.csv": (["citing_paper_id", "ref_key", "internal_paper_id"], [
+            [p.paper_id, r.key, r.internal_paper_id or ""] for p in corpus.papers.values()
+            for r in p.reference_keys]),
+        "affiliations.csv": (["affiliation_id", "name", "country"], [
+            [f.affiliation_id, f.name, f.country or ""] for f in corpus.affiliations.values()]),
+    }
+    paths = []
+    for name, (header, rows) in tables.items():
+        path = Path(folder, name)
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(draw_order(rows))
+        paths.append(path)
+    return paths
+
+
+@PROPERTY_SETTINGS
+@given(corpora(key_texts=normalized_keys), st.randoms(use_true_random=False))
+def test_ingest_ignores_row_order(corpus, rng):
+    with tempfile.TemporaryDirectory() as tmp:
+        ordered, shuffled = Path(tmp, "ordered"), Path(tmp, "shuffled")
+        ordered.mkdir()
+        shuffled.mkdir()
+        first = ingest_corpus(*_write_tables(corpus, ordered, list))
+        second = ingest_corpus(*_write_tables(corpus, shuffled, lambda rows: rng.sample(rows, len(rows))))
+        assert first == second
+        persist_corpus(first, ordered / "journal.corpus")
+        persist_corpus(second, shuffled / "journal.corpus")
+        assert (ordered / "journal.corpus").read_bytes() == (shuffled / "journal.corpus").read_bytes()
+
+
+# cited-work keys shaped like other kinds' ids or like Pajek syntax
+adversarial_keys = st.one_of(
+    st.integers(-10**4, 10**6).map(str),
+    st.builds("v{}n{}p{}".format, st.integers(1, 99), st.integers(1, 9), st.integers(1, 99)),
+    st.sampled_from(PACS_POOL),
+    st.sampled_from(['*edges', '*arcs', '*vertices 3', '"', '""', 'a "quoted" key', 'smith, 1990']),
+    st.text(alphabet='"*, 0123456789.+-edgsvnp', min_size=1, max_size=10),
+).map(normalize_ref_key).filter(bool)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.lists(adversarial_keys, min_size=1, max_size=4, unique=True),
+                min_size=1, max_size=6))
+def test_pajek_round_trips_adversarial_keys(reference_lists):
+    papers = [
+        PaperRecord(f"v1n1p{seq}", "", 1, 1, None, (1,), frozenset(),
+                    tuple(ReferenceKey(key) for key in sorted(keys)))
+        for seq, keys in enumerate(reference_lists, start=1)
+    ]
+    g = build_layer(Corpus(papers, [AuthorRecord(1, "", frozenset())]), Layer.COCITATION)
+    assert parse_pajek(export_pajek(g), kind="reference") == g

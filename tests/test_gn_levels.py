@@ -1,4 +1,5 @@
-"""Pin of every Girvan–Newman level's count and modularity bits.
+"""Pins of every Girvan–Newman level's count and modularity bits, and of
+edge-betweenness bits.
 
 ``tests/golden/gn-levels.txt`` holds, for each graph in ``GRAPHS``, one
 line per dendrogram level: removed edges, community count and the
@@ -7,10 +8,13 @@ line per dendrogram level: removed edges, community count and the
 ties exactly across components) and the co-authorship layer of a small
 preferential-attachment journal.  A change to the betweenness kernel,
 its tie-breaking or the modularity arithmetic that alters any removal
-order or any float bit fails here.
+order or any float bit fails here.  ``tests/golden/edge-betweenness.txt``
+holds the ``repr`` of every edge's betweenness on ten seeded random
+graphs, so a change to the kernel's float arithmetic fails even where it
+leaves every removal order alone.
 
 Run ``PYTHONPATH=src python3 tests/test_gn_levels.py`` from the
-repository root to write the file again; only do that for a deliberate
+repository root to write both files again; only do that for a deliberate
 change of output.
 """
 
@@ -19,14 +23,16 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from journet.communities import girvan_newman
+import pytest
+
+from journet.communities import edge_betweenness, girvan_newman
 from journet.graph import author_node, build_graph
 from journet.layers import Layer, build_layer
 
 from conftest import random_graph
 from test_acceptance import preferential_attachment_corpus
 
-FIXTURE = Path(__file__).resolve().parent / "golden" / "gn-levels.txt"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def twin_copies(rng: random.Random, n: int, p: float):
@@ -66,11 +72,27 @@ def levels_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_gn_levels_match_golden():
-    assert levels_text() == FIXTURE.read_text(encoding="utf-8")
+def betweenness_text() -> str:
+    lines = []
+    for seed in range(10):
+        n, p = 16 + 4 * seed, 0.05 + 0.03 * (seed % 4)
+        lines.append(f"# random-n{n}-p{p:.2f}-s{800 + seed}")
+        graph = random_graph(random.Random(800 + seed), n, p)
+        for (u, v), score in sorted(edge_betweenness(graph).items()):
+            lines.append(f"{u.id} {v.id} {score!r}")
+    return "\n".join(lines) + "\n"
+
+
+FIXTURES = {"gn-levels.txt": levels_text, "edge-betweenness.txt": betweenness_text}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_output_matches_golden(name):
+    assert FIXTURES[name]() == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
-    text = levels_text()
-    FIXTURE.write_text(text, encoding="utf-8")
-    print(f"wrote {FIXTURE} ({len(text)} bytes)")
+    for name, make in FIXTURES.items():
+        text = make()
+        (GOLDEN / name).write_text(text, encoding="utf-8")
+        print(f"wrote {GOLDEN / name} ({len(text)} bytes)")

@@ -1,17 +1,16 @@
 """Divisive community detection by repeated removal of high-traffic edges.
 
 Edge betweenness counts shortest paths fractionally (Brandes-style BFS
-accumulation), the highest-scoring edge is removed, betweenness is
-recomputed, and every time the graph falls apart a partition is
-recorded together with its modularity against the original graph.  The
-best partition is the modularity maximum.  Tie-breaking is fully
-deterministic so repeated runs agree edge for edge.
+accumulation); the highest-scoring edge is removed and betweenness is
+recomputed only in the component that lost it.  Each time the graph
+falls apart, a partition is recorded with its modularity against the
+original graph; the best partition is the modularity maximum.
+Tie-breaking is fully deterministic so repeated runs agree edge for edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .graph import Graph, NodeRef, bfs, components
@@ -19,37 +18,48 @@ from .graph import Graph, NodeRef, bfs, components
 Edge = tuple[NodeRef, NodeRef]
 
 
-def _betweenness_on_adj(adj) -> dict[tuple[int, int], float]:
-    """Shortest-path edge betweenness over unordered node pairs.
+def _betweenness_on_adj(adj, sources=None) -> tuple[list[tuple[int, int]], list[float]]:
+    """Twice the shortest-path edge betweenness, summed over ``sources``.
 
-    ``adj`` holds symmetric index rows (see Graph.adjacency); edges come
-    back as (i, j) index pairs with i < j.  One BFS per source gives the
-    visit order and distances; shortest-path counts sigma follow from
-    them, and walking the order backwards pushes each pair's unit of
-    flow down the shortest-path DAG, split proportionally to sigma.
-    Summing over all sources counts every unordered pair twice, hence
-    the final halving.  Sources and neighbours are visited in ascending
-    order so the floating-point sums are reproducible.
+    ``adj`` holds symmetric index rows (see Graph.adjacency); ``sources``
+    is ascending, all nodes by default.  Each edge (i, j), i < j, met in a
+    source's row gets a slot in the returned edge and score lists.  Per
+    source one sweep sets hop distances and path counts sigma; walking
+    its visit order backwards splits each pair's unit of flow down the
+    shortest-path DAG in proportion to sigma.  Sources and neighbours go
+    in ascending order, so float sums are reproducible; a source adds
+    only to its own component's edges, so a component's scores equal a
+    whole-graph sweep's.
     """
-    betweenness = {(u, v): 0.0 for u, row in enumerate(adj) for v in row if u < v}
-    for source in range(len(adj)):
-        order, dist = bfs(adj, source)
-        sigma = dict.fromkeys(order, 0)
-        sigma[source] = 1
-        for u in order:
-            d = dist[u] + 1
+    if sources is None:
+        sources = range(len(adj))
+    slot: dict[tuple[int, int], int] = {}  # edge -> its index in edges and scores
+    row_slots = {u: [slot.setdefault((u, v) if u < v else (v, u), len(slot)) for v in adj[u]]
+                 for u in sources}
+    edges = list(slot)
+    scores = [0.0] * len(edges)
+    dist, sigma, delta = [-1] * len(adj), [0] * len(adj), [0.0] * len(adj)
+    for source in sources:
+        dist[source], sigma[source] = 0, 1
+        order = [source]
+        for u in order:  # order grows while it is walked: that is the queue
+            d, s = dist[u] + 1, sigma[u]
             for v in adj[u]:
-                if dist[v] == d:
-                    sigma[v] += sigma[u]
-        delta = dict.fromkeys(order, 0.0)
+                if dist[v] < 0:
+                    dist[v], sigma[v] = d, s
+                    order.append(v)
+                elif dist[v] == d:
+                    sigma[v] += s
         for w in reversed(order):
-            d = dist[w] - 1
-            for v in adj[w]:
+            d, s, push = dist[w] - 1, sigma[w], 1.0 + delta[w]
+            for v, k in zip(adj[w], row_slots[w]):
                 if dist[v] == d:
-                    flow = sigma[v] / sigma[w] * (1.0 + delta[w])
-                    betweenness[(v, w) if v < w else (w, v)] += flow
+                    flow = sigma[v] / s * push
+                    scores[k] += flow
                     delta[v] += flow
-    return {edge: value / 2.0 for edge, value in betweenness.items()}
+        for v in order:
+            dist[v], sigma[v], delta[v] = -1, 0, 0.0
+    return edges, scores
 
 
 def edge_betweenness(graph: Graph) -> dict[Edge, float]:
@@ -57,8 +67,8 @@ def edge_betweenness(graph: Graph) -> dict[Edge, float]:
     if graph.directed:
         raise ValueError("edge betweenness needs an undirected graph; symmetrize first")
     nodes = graph.nodes()
-    scores = _betweenness_on_adj(graph.adjacency())
-    return {(nodes[u], nodes[v]): value for (u, v), value in scores.items()}
+    edges, scores = _betweenness_on_adj(graph.adjacency())
+    return {(nodes[u], nodes[v]): value / 2.0 for (u, v), value in zip(edges, scores)}
 
 
 def modularity(graph: Graph, partition: Mapping[NodeRef, int]) -> float:
@@ -66,28 +76,26 @@ def modularity(graph: Graph, partition: Mapping[NodeRef, int]) -> float:
 
     Unweighted: link multiplicities are ignored.  The partition must
     label exactly the graph's nodes and the graph must have at least one
-    edge.  The sum is carried in exact rationals and rounded once at the
-    end, so the result never depends on community iteration order.
+    edge.  With L_c internal links and degree sum d_c per community,
+    Q = sum(4m L_c - d_c^2) / (4m^2): the sum is carried in integers and
+    divided once, so the result is correctly rounded and never depends
+    on community iteration order.
     """
     if graph.directed:
         raise ValueError("modularity needs an undirected graph; symmetrize first")
     m = graph.link_count
     if m == 0:
         raise ValueError("modularity is undefined for a graph without edges")
-    if set(partition) != set(graph.nodes()):
+    nodes = graph.nodes()
+    if set(partition) != set(nodes):
         raise ValueError("partition does not cover exactly the graph's node set")
-    internal: dict[int, int] = {}
+    labels = [partition[node] for node in nodes]
+    ends: dict[int, int] = {}  # label -> link ends inside the community: 2 L_c
     degree: dict[int, int] = {}
-    for u, v, _ in graph.links():
-        if partition[u] == partition[v]:
-            internal[partition[u]] = internal.get(partition[u], 0) + 1
-    for node in graph.nodes():
-        label = partition[node]
-        degree[label] = degree.get(label, 0) + graph.degree(node)
-    q = Fraction(0)
-    for label in degree:
-        q += Fraction(internal.get(label, 0), m) - Fraction(degree[label], 2 * m) ** 2
-    return float(q)
+    for label, row in zip(labels, graph.adjacency()):
+        ends[label] = ends.get(label, 0) + sum(labels[j] == label for j in row)
+        degree[label] = degree.get(label, 0) + len(row)
+    return sum(2 * m * ends[c] - d * d for c, d in degree.items()) / (4 * m * m)
 
 
 def canonical_partition(components: list[list[NodeRef]]) -> dict[NodeRef, int]:
@@ -123,10 +131,11 @@ def girvan_newman(graph: Graph) -> CommunityResult:
     recorded first; afterwards the maximum-betweenness edge is removed
     (ties broken toward the smallest (min endpoint, max endpoint) pair)
     and a new level is recorded whenever the component count grows.
-    Modularity is always evaluated against the original graph.  Runs
-    until no edges remain, so the last level is all singletons.  Best is
-    the highest Q; equal Q prefers fewer communities, then the earlier
-    recording.
+    Only the piece or pieces holding the removed edge's endpoints are
+    swept again; other components keep their top edge.  Modularity is
+    always evaluated against the original graph.  Runs until no edges
+    remain, so the last level is all singletons.  Best is the highest Q;
+    equal Q prefers fewer communities, then the earlier recording.
     """
     if graph.directed:
         raise ValueError("community detection needs an undirected graph; symmetrize first")
@@ -135,20 +144,31 @@ def girvan_newman(graph: Graph) -> CommunityResult:
 
     nodes = graph.nodes()
     adj = [list(row) for row in graph.adjacency()]
+    tops = {}  # least node of a component -> (-score, edge) of its top edge
+
+    def sweep(piece):
+        edges, scores = _betweenness_on_adj(adj, piece)
+        if edges:
+            tops[piece[0]] = min(zip([-x for x in scores], edges))
 
     def record(removed, comps):
         partition = canonical_partition([[nodes[v] for v in comp] for comp in comps])
         return PartitionRecord(removed, len(comps), partition, modularity(graph, partition))
 
-    records = [record(0, components(adj))]
+    comps = components(adj)
+    records = [record(0, comps)]
+    for comp in comps:
+        sweep(comp)
     for removed in range(1, graph.link_count + 1):
-        scores = _betweenness_on_adj(adj)
-        u, v = min(scores, key=lambda edge: (-scores[edge], edge))
+        key = min(tops, key=tops.get)
+        u, v = tops.pop(key)[1]
         adj[u].remove(v)
         adj[v].remove(u)
-        comps = components(adj)
-        if len(comps) > records[-1].community_count:
-            records.append(record(removed, comps))
+        side, dist = bfs(adj, u)
+        sweep(sorted(side))
+        if v not in dist:
+            sweep(sorted(bfs(adj, v)[0]))
+            records.append(record(removed, components(adj)))
 
     # max() keeps the first of equal maxima: the earlier, coarser level
     return CommunityResult(records, max(range(len(records)), key=lambda i: records[i].modularity))

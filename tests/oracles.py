@@ -9,6 +9,7 @@ compares two independent derivations.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -150,4 +151,16 @@ def modularity_from_edges(edges, partition_blocks):
         internal = sum(1 for u, v in edges if label[u] == i and label[v] == i)
         total_degree = sum(degree.get(n, 0) for n in block)
         q += internal / m - (total_degree / (2 * m)) ** 2
+    return q
+
+
+def exact_modularity(edges, partition_blocks):
+    """The modularity formula in exact rationals from a raw undirected edge list."""
+    m = len(edges)
+    q = Fraction(0)
+    for block in partition_blocks:
+        members = set(block)
+        internal = sum(1 for u, v in edges if u in members and v in members)
+        total_degree = sum((u in members) + (v in members) for u, v in edges)
+        q += Fraction(internal, m) - Fraction(total_degree, 2 * m) ** 2
     return q

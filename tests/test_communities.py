@@ -11,9 +11,15 @@ from journet.communities import (
     modularity,
 )
 from journet.graph import author_node, build_graph
+from journet.metrics import connected_components
 
 from conftest import random_graph
-from oracles import all_partitions, enumerate_edge_betweenness, modularity_from_edges
+from oracles import (
+    all_partitions,
+    enumerate_edge_betweenness,
+    exact_modularity,
+    modularity_from_edges,
+)
 
 n = author_node
 
@@ -116,6 +122,31 @@ def test_betweenness_matches_exhaustive_enumeration_random():
             assert actual[edge] == pytest.approx(expected[edge], abs=1e-9)
 
 
+def test_betweenness_is_additive_over_components():
+    """Each component scores bit for bit as the component built alone: the
+    property that lets Girvan-Newman recompute only the piece that lost an edge."""
+    pieces = 0
+    for seed in range(8):
+        g = random_graph(random.Random(600 + seed), 30, 0.06)
+        scores = edge_betweenness(g)
+        expected = enumerate_edge_betweenness({v: set(g.neighbors(v)) for v in g.nodes()})
+        assert set(scores) == set(expected)
+        for edge, score in expected.items():
+            assert scores[edge] == pytest.approx(score, abs=1e-9)
+        covered = set()
+        for comp in connected_components(g):
+            members = set(comp)
+            links = [(u, v, w) for u, v, w in g.links() if u in members]
+            if not links:
+                continue
+            alone = edge_betweenness(build_graph(False, links))
+            assert all(scores[edge] == value for edge, value in alone.items())
+            covered |= set(alone)
+            pieces += 1
+        assert covered == set(scores)
+    assert pieces >= 16  # several multi-edge components per graph
+
+
 # -- modularity -----------------------------------------------------------------
 
 def test_modularity_single_community_is_zero():
@@ -138,6 +169,27 @@ def test_modularity_two_triangles_is_global_maximum(two_triangle_graph):
         best_q = max(best_q, modularity_from_edges(edges, blocks))
     assert count == 203  # Bell(6)
     assert best_q == pytest.approx(float(Fraction(5, 14)))
+
+
+def test_modularity_bits_equal_exact_rational_on_every_partition(two_triangle_graph):
+    edges = [(u, v) for u, v, _ in two_triangle_graph.links()]
+    count = 0
+    for blocks in all_partitions(two_triangle_graph.nodes()):
+        partition = {node: i for i, block in enumerate(blocks) for node in block}
+        assert modularity(two_triangle_graph, partition) == float(exact_modularity(edges, blocks))
+        count += 1
+    assert count == 203
+
+
+def test_modularity_bits_equal_exact_rational_on_every_gn_level():
+    for seed in range(6):
+        g = random_graph(random.Random(700 + seed), 18, 0.08 + 0.04 * (seed % 3))
+        edges = [(u, v) for u, v, _ in g.links()]
+        for r in girvan_newman(g).records:
+            blocks = {}
+            for node, label in r.partition.items():
+                blocks.setdefault(label, []).append(node)
+            assert r.modularity == float(exact_modularity(edges, list(blocks.values())))
 
 
 def test_modularity_singletons_of_k2():
@@ -233,6 +285,40 @@ def test_gn_partitions_refine_and_terminate():
             assert all(len(g) == 1 for g in groups.values())
         for r in result.records:
             assert -0.5 <= r.modularity < 1.0
+
+
+def test_gn_breaks_cross_component_ties_by_global_min():
+    # paths 1-2-3-4 and 5-6-7-8: middle edges carry 2*2 = 4 pairs, end edges 1*3 = 3
+    paths = [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)]
+    g = build_graph(False, [(n(a), n(b), 1) for a, b in paths])
+    scores = edge_betweenness(g)
+    assert scores[(n(2), n(3))] == scores[(n(6), n(7))] == 4.0
+    assert scores[(n(1), n(2))] == scores[(n(3), n(4))] == 3.0
+    assert scores[(n(5), n(6))] == scores[(n(7), n(8))] == 3.0
+    result = girvan_newman(g)
+    # removal order (2,3), (6,7), (1,2), (3,4), (5,6), (7,8): the middle tie
+    # goes to the smaller edge, then every edge left scores 1 and ties again
+    expected_blocks = [
+        [[1, 2, 3, 4], [5, 6, 7, 8]],
+        [[1, 2], [3, 4], [5, 6, 7, 8]],
+        [[1, 2], [3, 4], [5, 6], [7, 8]],
+        [[1], [2], [3, 4], [5, 6], [7, 8]],
+        [[1], [2], [3], [4], [5, 6], [7, 8]],
+        [[1], [2], [3], [4], [5], [6], [7, 8]],
+        [[1], [2], [3], [4], [5], [6], [7], [8]],
+    ]
+    # m = 6: Q = sum over communities of L/6 - (d/12)^2
+    expected_q = [Fraction(1, 2), Fraction(11, 24), Fraction(5, 12), Fraction(5, 18),
+                  Fraction(5, 36), Fraction(0), Fraction(-5, 36)]
+    assert [r.removed_edges for r in result.records] == [0, 1, 2, 3, 4, 5, 6]
+    assert [r.community_count for r in result.records] == [2, 3, 4, 5, 6, 7, 8]
+    for r, blocks, q in zip(result.records, expected_blocks, expected_q):
+        labels = {}
+        for node, label in r.partition.items():
+            labels.setdefault(label, []).append(node.id)
+        assert sorted(sorted(b) for b in labels.values()) == blocks
+        assert r.modularity == float(q)
+    assert result.best_index == 0
 
 
 def test_gn_deterministic_under_input_order():

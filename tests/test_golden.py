@@ -59,6 +59,13 @@ CASES = {
     "paper-citation.net": [
         "export", "--layer", "paper-citation", "--format", "pajek", "--out", "{out}",
     ],
+    "coupling.net": ["export", "--layer", "coupling", "--format", "pajek", "--out", "{out}"],
+    "bipartite-paper-reference.net": [
+        "export", "--layer", "bipartite-paper-reference", "--format", "pajek", "--out", "{out}",
+    ],
+    "adjacency-coauthorship.csv": [
+        "export", "--layer", "coauthorship", "--format", "adjacency", "--out", "{out}",
+    ],
     "evolution-coauthorship-mean_clustering.csv": [
         "evolution", "--layer", "coauthorship", "--metric", "mean_clustering",
         "--out", "{out}",

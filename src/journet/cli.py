@@ -103,9 +103,7 @@ def _cmd_distribution(args) -> int:
 
 def _cmd_communities(args) -> int:
     layer = layer_from_token(args.layer)
-    graph = build_layer(_load(args), layer)
-    if graph.directed:
-        graph = graph.symmetrized()
+    graph = build_layer(_load(args), layer).symmetrized()
     result = girvan_newman(graph)
     if args.dump_dendrogram:
         sys.stdout.write(reports.dendrogram_lines(result))

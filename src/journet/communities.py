@@ -21,15 +21,16 @@ Edge = tuple[NodeRef, NodeRef]
 def _betweenness_on_adj(adj, sources=None) -> tuple[list[tuple[int, int]], list[float]]:
     """Twice the shortest-path edge betweenness, summed over ``sources``.
 
-    ``adj`` holds symmetric index rows (see Graph.adjacency); ``sources``
-    is ascending, all nodes by default.  Each edge (i, j), i < j, met in a
-    source's row gets a slot in the returned edge and score lists.  Per
-    source one sweep sets hop distances and path counts sigma; walking
-    its visit order backwards splits each pair's unit of flow down the
-    shortest-path DAG in proportion to sigma.  Sources and neighbours go
-    in ascending order, so float sums are reproducible; a source adds
-    only to its own component's edges, so a component's scores equal a
-    whole-graph sweep's.
+    ``adj`` holds symmetric rows that iterate ascending neighbour
+    indices: Graph.adjacency()'s dicts or girvan_newman's list copies of
+    them.  ``sources`` is ascending, all nodes by default.  Each edge
+    (i, j), i < j, met in a source's row gets a slot in the returned edge
+    and score lists.  Per source one sweep sets hop distances and path
+    counts sigma; walking its visit order backwards splits each pair's
+    unit of flow down the shortest-path DAG in proportion to sigma.
+    Sources and neighbours go in ascending order, so float sums are
+    reproducible; a source adds only to its own component's edges, so a
+    component's scores equal a whole-graph sweep's.
     """
     if sources is None:
         sources = range(len(adj))

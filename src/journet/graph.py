@@ -3,14 +3,14 @@
 Nodes are (kind, id) pairs so authors, papers, PACS codes and cited works
 can coexist in one structure (the bipartite layers need two kinds at
 once).  Links carry positive integer weights counting multiplicity:
-shared papers, shared codes, co-citations.  A graph is immutable once
-built and every accessor returns data in canonical sorted order, so
-reports and exported files are reproducible byte for byte.
+shared papers, shared codes, co-citations.  Each node's row is one dict
+from neighbour index to weight, its keys in ascending order.  A graph is
+immutable once built and every accessor returns data in canonical sorted
+order, so reports and exported files are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
@@ -78,19 +78,19 @@ class Graph:
     afterwards.  No self-loops, no parallel links (duplicates aggregate
     into the weight), weights always >= 1.
 
-    Inside, node ``i`` is ``nodes()[i]`` and row ``i`` lists its
-    neighbours as ascending indices, with a parallel row of weights:
+    Inside, node ``i`` is ``nodes()[i]`` and row ``i`` is a dict from
+    each neighbour's index to the link weight, keys inserted ascending:
     out-arcs, plus separate in-arc rows for a directed graph.
     Undirected rows are stored symmetrically.  Nodes are indexed in
-    sorted order, so ascending rows are canonical neighbour order.
+    sorted order, so iterating a row gives canonical neighbour order.
     """
 
-    def __init__(self, directed, nodes, out, out_w, in_=None, in_w=None, aux=None):
+    def __init__(self, directed, nodes, out, in_=None, aux=None):
         self.directed = directed
         self._nodes = nodes
         self._index = {node: i for i, node in enumerate(nodes)}
-        self._out, self._out_w = out, out_w
-        self._in, self._in_w = (in_, in_w) if directed else (out, out_w)
+        self._out = out
+        self._in = in_ if directed else out
         self._arc_count = sum(map(len, out))
         self._aux = dict(aux) if aux else None
         self._symmetrized = None
@@ -122,8 +122,8 @@ class Graph:
     def link_count(self) -> int:
         return self._arc_count if self.directed else self._arc_count // 2
 
-    def adjacency(self, direction: str = "out") -> tuple[tuple[int, ...], ...]:
-        """Neighbour rows by node index: "out", "in" or "both" ways.
+    def adjacency(self, direction: str = "out") -> tuple[dict[int, int], ...]:
+        """{neighbour index: weight} rows by node index: "out", "in" or "both" ways.
 
         "both" gives the rows of :meth:`symmetrized`, whose nodes have
         the same indices.  All three agree on an undirected graph.
@@ -148,11 +148,10 @@ class Graph:
         return i is not None and j is not None and j in self._out[i]
 
     def weight(self, u: NodeRef, v: NodeRef) -> int:
-        i, j = self._index[u], self._index[v]
-        k = bisect_left(self._out[i], j)
-        if self._out[i][k:k + 1] != (j,):
+        w = self._out[self._index[u]].get(self._index[v])
+        if w is None:
             raise KeyError((u, v))
-        return self._out_w[i][k]
+        return w
 
     def degree(self, node: NodeRef) -> int:
         """Neighbour count; for directed graphs out-degree plus in-degree."""
@@ -162,8 +161,8 @@ class Graph:
     def links(self) -> Iterator[tuple[NodeRef, NodeRef, int]]:
         """Canonical link iteration: undirected edges once with u < v, sorted."""
         nodes = self._nodes
-        for i, (row, weights) in enumerate(zip(self._out, self._out_w)):
-            for j, w in zip(row, weights):
+        for i, row in enumerate(self._out):
+            for j, w in row.items():
                 if self.directed or i < j:
                     yield nodes[i], nodes[j], w
 
@@ -181,8 +180,8 @@ class Graph:
         # Equality is over topology and weights; aux counts are presentation.
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.directed, self._nodes, self._out, self._out_w) == (
-            other.directed, other._nodes, other._out, other._out_w
+        return (self.directed, self._nodes, self._out) == (
+            other.directed, other._nodes, other._out
         )
 
     def __repr__(self):
@@ -191,13 +190,8 @@ class Graph:
 
 
 def _rows(order: list[int], rank: list[int], arcs: Mapping[int, dict[int, int]]):
-    """Index rows and weight rows, in ``order``, from arcs between numbers."""
-    index_rows, weight_rows = [], []
-    for a in order:
-        pairs = sorted((rank[b], w) for b, w in arcs.get(a, {}).items())
-        index_rows.append(tuple(j for j, _ in pairs))
-        weight_rows.append(tuple(w for _, w in pairs))
-    return tuple(index_rows), tuple(weight_rows)
+    """Rows in ``order``, keys ascending, from arcs between numbers."""
+    return tuple(dict(sorted((rank[b], w) for b, w in arcs.get(a, {}).items())) for a in order)
 
 
 def build_graph(
@@ -233,8 +227,8 @@ def build_graph(
         rank[a] = i
     nodes = tuple(by_number[a] for a in order)
     if directed:
-        return Graph(True, nodes, *_rows(order, rank, out), *_rows(order, rank, back))
-    return Graph(False, nodes, *_rows(order, rank, out))
+        return Graph(True, nodes, _rows(order, rank, out), _rows(order, rank, back))
+    return Graph(False, nodes, _rows(order, rank, out))
 
 
 def _co_members(member, groups) -> Counter:
@@ -254,13 +248,12 @@ def _pair_counts(kind: str, ids: Iterable, groups: Iterable[Iterable], aux=None)
         members = {index[x] for x in group}
         for i in members:
             held[i].append(members)
-    arcs = {i: _co_members(i, sets) for i, sets in enumerate(held) if sets}
-    order = range(len(ids))
-    return Graph(False, tuple(NodeRef(kind, x) for x in ids), *_rows(order, order, arcs), aux=aux)
+    rows = tuple(dict(sorted(_co_members(i, sets).items())) for i, sets in enumerate(held))
+    return Graph(False, tuple(NodeRef(kind, x) for x in ids), rows, aux=aux)
 
 
 def bfs(adj, source: int, depth: int | None = None) -> tuple[list[int], dict[int, int]]:
-    """Breadth-first search over index rows such as Graph.adjacency().
+    """Breadth-first search over rows such as Graph.adjacency().
 
     Returns the visit order and each visited node's hop distance.  Rows
     are walked in stored order, so ascending rows give the canonical
@@ -280,7 +273,7 @@ def bfs(adj, source: int, depth: int | None = None) -> tuple[list[int], dict[int
 
 
 def components(adj) -> list[list[int]]:
-    """Connected components of symmetric index rows, as ascending index
+    """Connected components of symmetric rows, as ascending index
     lists ordered by their smallest index."""
     seen: set[int] = set()
     result = []
@@ -310,15 +303,8 @@ def adjacency_rows(graph: Graph) -> list[AdjacencyRow]:
     aux counts fill the last column; a graph without them gives zero.
     """
     aux = graph.aux_counts
-    rows = []
-    for node in graph.nodes():
-        nbrs = tuple(graph.all_neighbors(node))
-        rows.append(
-            AdjacencyRow(
-                node=node,
-                neighbours=nbrs,
-                degree=len(nbrs),
-                aux_count=aux[node] if aux is not None else 0,
-            )
-        )
-    return rows
+    nodes = graph.nodes()
+    return [
+        AdjacencyRow(node, tuple(nodes[j] for j in row), len(row), aux[node] if aux else 0)
+        for node, row in zip(nodes, graph.adjacency("both"))
+    ]

@@ -85,7 +85,7 @@ def clustering(graph: Graph) -> ClusteringStats:
     """
     g = graph.symmetrized()
     nodes = g.nodes()
-    linked = [set(row) for row in g.adjacency()]
+    linked = [row.keys() for row in g.adjacency()]
     per_node: dict[NodeRef, float] = {}
     triangles: dict[NodeRef, int] = {}
     for v, nbrs in enumerate(linked):

@@ -31,11 +31,11 @@ class PajekFormatError(ValueError):
 def export_pajek(graph: Graph) -> str:
     """Render a graph as Pajek .net text (LF line endings, trailing newline)."""
     nodes = graph.nodes()
-    index = {node: i + 1 for i, node in enumerate(nodes)}
     lines = [f"*Vertices {len(nodes)}"]
-    lines += [f'{index[node]} "{node.id}"' for node in nodes]
+    lines += [f'{i} "{node.id}"' for i, node in enumerate(nodes, start=1)]
     lines.append("*Arcs" if graph.directed else "*Edges")
-    lines += [f"{index[u]} {index[v]} {w}" for u, v, w in graph.links()]
+    lines += [f"{i + 1} {j + 1} {w}" for i, row in enumerate(graph.adjacency())
+              for j, w in row.items() if graph.directed or i < j]
     return "\n".join(lines) + "\n"
 
 
@@ -61,12 +61,10 @@ def parse_pajek(text: str, kind: str = "auto") -> Graph:
     ``kind`` forces every node to one kind; the default infers kinds per
     label via :func:`infer_node`.
     """
-    if kind == "auto":
-        def make_node(label):
+    def make_node(label):
+        if kind == "auto":
             return infer_node(label)
-    else:
-        def make_node(label):
-            return NodeRef(kind, int(label) if kind == "author" else label)
+        return NodeRef(kind, int(label) if kind == "author" else label)
 
     lines = text.splitlines()
     if not lines or not lines[0].lower().startswith("*vertices"):
@@ -77,6 +75,7 @@ def parse_pajek(text: str, kind: str = "auto") -> Graph:
         raise PajekFormatError("line 1: expected '*Vertices N'") from None
 
     nodes: dict[int, NodeRef] = {}
+    declared: set[NodeRef] = set()
     directed = None
     links = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -93,7 +92,15 @@ def parse_pajek(text: str, kind: str = "auto") -> Graph:
             m = _VERTEX_RE.match(line)
             if not m:
                 raise PajekFormatError(f"line {lineno}: bad vertex line {line!r}")
-            nodes[int(m.group(1))] = make_node(m.group(2))
+            index, label = int(m.group(1)), m.group(2)
+            try:
+                node = make_node(label)
+            except ValueError as exc:
+                raise PajekFormatError(f"line {lineno}: bad vertex label: {exc}") from None
+            if index in nodes or node in declared:
+                raise PajekFormatError(f"line {lineno}: vertex {line} repeats an earlier vertex")
+            declared.add(node)
+            nodes[index] = node
             continue
         parts = line.split()
         if len(parts) not in (2, 3):

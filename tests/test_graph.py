@@ -10,8 +10,10 @@ from journet.graph import (
     build_graph,
     paper_node,
 )
+from journet.layers import Layer, build_layer
+from journet.pajek import export_pajek, parse_pajek
 
-from conftest import random_graph
+from conftest import random_corpus, random_graph
 from oracles import dense_edge_aggregation
 
 A, B, C = author_node(1), author_node(2), author_node(3)
@@ -138,3 +140,72 @@ def test_adjacency_rows_degree_matches_scan():
         count = sum(1 for u, v in raw if row.node in (u, v))
         assert row.degree == count
         assert list(row.neighbours) == sorted(row.neighbours)
+
+
+def assert_rows_ascending(g):
+    # Pajek bytes and BFS visit order follow row order, which == on graphs ignores
+    for direction in ("out", "in", "both"):
+        for row in g.adjacency(direction):
+            assert list(row) == sorted(row), direction
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("layer", list(Layer), ids=lambda layer: layer.value)
+def test_layer_rows_stay_ascending(layer, seed):
+    corpus = random_corpus(random.Random(seed), volumes=3, papers_per_issue=5, author_pool=15)
+    assert_rows_ascending(build_layer(corpus, layer))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_rows_from_shuffled_links_stay_ascending(directed):
+    rng = random.Random(17)
+    nodes = [author_node(i) for i in range(1, 31)] + [paper_node(f"v1n1p{i}") for i in range(1, 11)]
+    pairs = [(u, v) for u in nodes for v in nodes if u != v and rng.random() < 0.15]
+    links = [(u, v, rng.randint(1, 3)) for u, v in pairs]
+    for _ in range(5):
+        rng.shuffle(links)
+        isolated = rng.sample(nodes, len(nodes))
+        assert_rows_ascending(build_graph(directed, links, isolated_nodes=isolated))
+
+
+def test_parsed_pajek_rows_stay_ascending():
+    rng = random.Random(23)
+    for directed in (False, True):
+        links = [(author_node(rng.randint(1, 40)), author_node(rng.randint(1, 40)), 1)
+                 for _ in range(120)]
+        g = build_graph(directed, [(u, v, w) for u, v, w in links if u != v])
+        assert_rows_ascending(parse_pajek(export_pajek(g)))
+
+
+def test_weight_of_missing_link_raises_key_error_naming_the_pair():
+    p, q = paper_node("v1n1p1"), paper_node("v1n1p2")
+    undirected = build_graph(False, [(A, B, 1)], isolated_nodes=[C])
+    with pytest.raises(KeyError) as err:
+        undirected.weight(A, C)
+    assert err.value.args == ((A, C),)
+    directed = build_graph(True, [(p, q, 2)])
+    assert directed.weight(p, q) == 2
+    with pytest.raises(KeyError) as err:
+        directed.weight(q, p)
+    assert err.value.args == ((q, p),)
+
+
+def test_has_link_unknown_node_and_reversed_arc():
+    p, q = paper_node("v1n1p1"), paper_node("v1n1p2")
+    g = build_graph(True, [(p, q, 1)])
+    assert g.has_link(p, q)
+    assert not g.has_link(q, p)
+    assert not g.has_link(p, paper_node("v9n9p9"))
+    assert not g.has_link(paper_node("v9n9p9"), q)
+
+
+def test_directed_degree_is_out_row_plus_in_row():
+    rng = random.Random(5)
+    nodes = [paper_node(f"v1n1p{i}") for i in range(1, 16)]
+    links = [(u, v, 1) for u in nodes for v in nodes if u != v and rng.random() < 0.2]
+    g = build_graph(True, links)
+    out, in_ = g.adjacency("out"), g.adjacency("in")
+    for node in g.nodes():
+        i = g.index(node)
+        assert g.degree(node) == len(out[i]) + len(in_[i])
+        assert g.degree(node) == sum(node in (u, v) for u, v, _ in links)

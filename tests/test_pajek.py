@@ -89,3 +89,19 @@ def test_parse_rejects_malformed():
         parse_pajek('*Vertices 3\n1 "1"\n*Edges\n')
     with pytest.raises(PajekFormatError, match="Edges"):
         parse_pajek('*Vertices 1\n1 "1"\n')
+
+
+def test_parse_rejects_repeated_label():
+    with pytest.raises(PajekFormatError, match='line 3: vertex 2 "a" repeats'):
+        parse_pajek('*Vertices 2\n1 "a"\n2 "a"\n*Edges\n', kind="reference")
+    # distinct labels that name one node are a repeat as well
+    with pytest.raises(PajekFormatError, match='line 4: vertex 3 "07" repeats'):
+        parse_pajek('*Vertices 3\n1 "7"\n2 "8"\n3 "07"\n*Edges\n')
+    # a repeated index would silently drop the vertex it first named
+    with pytest.raises(PajekFormatError, match='line 3: vertex 1 "b" repeats'):
+        parse_pajek('*Vertices 2\n1 "a"\n1 "b"\n2 "c"\n*Edges\n1 2 1\n', kind="reference")
+
+
+def test_parse_reports_non_integer_author_label_with_line():
+    with pytest.raises(PajekFormatError, match="line 3: bad vertex label"):
+        parse_pajek('*Vertices 2\n1 "10"\n2 "smith"\n*Edges\n', kind="author")

@@ -12,7 +12,6 @@ import csv
 import json
 import re
 from dataclasses import dataclass, replace
-from functools import total_ordering
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -56,16 +55,12 @@ def normalize_ref_key(raw: str) -> str:
     return " ".join(raw.split()).casefold()
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TimeIndex:
     """(volume, issue) pair ordered like publication time."""
 
     volume: int
     issue: int
-
-    def __lt__(self, other: "TimeIndex"):
-        return (self.volume, self.issue) < (other.volume, other.issue)
 
     @classmethod
     def parse(cls, token: str) -> "TimeIndex":
@@ -152,28 +147,16 @@ class Corpus:
         authors: Iterable[AuthorRecord],
         affiliations: Iterable[AffiliationRecord] = (),
     ):
-        self.papers: dict[str, PaperRecord] = {}
-        for p in papers:
-            if p.paper_id in self.papers:
-                raise ValueError(f"duplicate paper id {p.paper_id}")
-            self.papers[p.paper_id] = p
-        self.authors: dict[int, AuthorRecord] = {}
-        for a in authors:
-            if a.author_id in self.authors:
-                raise ValueError(f"duplicate author id {a.author_id}")
-            self.authors[a.author_id] = a
-        self.affiliations: dict[int, AffiliationRecord] = {}
-        for f in affiliations:
-            if f.affiliation_id in self.affiliations:
-                raise ValueError(f"duplicate affiliation id {f.affiliation_id}")
-            self.affiliations[f.affiliation_id] = f
+        self.papers: dict[str, PaperRecord] = _by_id(papers, "paper")
+        self.authors: dict[int, AuthorRecord] = _by_id(authors, "author")
+        self.affiliations: dict[int, AffiliationRecord] = _by_id(affiliations, "affiliation")
 
         self.papers_by_author: dict[int, tuple[str, ...]] = _index(
             self.papers, lambda p: p.author_ids)
         self.papers_by_pacs: dict[str, tuple[str, ...]] = _index(
             self.papers, lambda p: sorted(p.pacs_codes))
         self.citing_by_key: dict[str, tuple[str, ...]] = _index(
-            self.papers, lambda p: sorted({ref.key for ref in p.reference_keys}))
+            self.papers, lambda p: sorted(ref.key for ref in p.reference_keys))
 
     @property
     def paper_count(self) -> int:
@@ -186,15 +169,6 @@ class Corpus:
     def time_indexes(self) -> list[TimeIndex]:
         """Distinct (volume, issue) pairs present, ascending."""
         return sorted({p.time_index for p in self.papers.values()})
-
-    def internal_id_for_key(self) -> dict[str, str]:
-        """Map each reference key to an in-journal paper id where one is known."""
-        mapping: dict[str, str] = {}
-        for pid in sorted(self.papers):
-            for ref in self.papers[pid].reference_keys:
-                if ref.internal_paper_id is not None:
-                    mapping.setdefault(ref.key, ref.internal_paper_id)
-        return mapping
 
     def __eq__(self, other):
         if not isinstance(other, Corpus):
@@ -210,6 +184,17 @@ class Corpus:
             f"<Corpus papers={len(self.papers)} authors={len(self.authors)}"
             f" affiliations={len(self.affiliations)}>"
         )
+
+
+def _by_id(records: Iterable, kind: str) -> dict:
+    """Key records by their ``<kind>_id`` field; a repeated id is a ValueError."""
+    table: dict = {}
+    for record in records:
+        rid = getattr(record, f"{kind}_id")
+        if rid in table:
+            raise ValueError(f"duplicate {kind} id {rid}")
+        table[rid] = record
+    return table
 
 
 def _index(papers: Mapping[str, PaperRecord], keys_of) -> dict:
@@ -510,49 +495,44 @@ def snapshot(corpus: Corpus, as_of: TimeIndex) -> Corpus:
 
 # -- persistence --------------------------------------------------------------
 
-def _paper_to_dict(p: PaperRecord) -> dict:
-    return {
-        "paper_id": p.paper_id,
-        "title": p.title,
-        "volume": p.volume,
-        "issue": p.issue,
-        "year": p.year,
-        "author_ids": list(p.author_ids),
-        "pacs_codes": sorted(p.pacs_codes),
-        "reference_keys": [
-            {"key": r.key, "internal_paper_id": r.internal_paper_id}
-            for r in p.reference_keys
-        ],
-    }
+def _json_form(value):
+    """What json cannot write itself: a set as its sorted list, a record as
+    the dict of its dataclass fields."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return {name: getattr(value, name) for name in value.__dataclass_fields__}
+
+
+def _records(cls, objects, **converters) -> list:
+    """Build a ``cls`` record from each JSON object through the record's own
+    constructor, once ``converters`` turn fields from their JSON form.  An
+    object holds exactly the record's fields: the constructor refuses an
+    unknown field, the count a missing one."""
+    names = cls.__dataclass_fields__
+    records = []
+    for fields in objects:
+        if len(fields) != len(names):
+            raise ValueError(f"{cls.__name__} fields {sorted(fields)} are not {sorted(names)}")
+        if converters:
+            fields = {**fields, **{name: convert(fields[name]) for name, convert in converters.items()}}
+        records.append(cls(**fields))
+    return records
 
 
 def persist_corpus(corpus: Corpus, path) -> None:
     """Write the corpus as a single self-describing text file."""
     payload = {
-        "papers": [_paper_to_dict(corpus.papers[pid]) for pid in sorted(corpus.papers)],
-        "authors": [
-            {
-                "author_id": a.author_id,
-                "name": a.name,
-                "affiliation_ids": sorted(a.affiliation_ids),
-            }
-            for a in (corpus.authors[aid] for aid in sorted(corpus.authors))
-        ],
-        "affiliations": [
-            {
-                "affiliation_id": f.affiliation_id,
-                "name": f.name,
-                "country": f.country,
-            }
-            for f in (corpus.affiliations[fid] for fid in sorted(corpus.affiliations))
-        ],
+        "papers": [corpus.papers[pid] for pid in sorted(corpus.papers)],
+        "authors": [corpus.authors[aid] for aid in sorted(corpus.authors)],
+        "affiliations": [corpus.affiliations[fid] for fid in sorted(corpus.affiliations)],
     }
-    text = FORMAT_HEADER + "\n" + json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    body = json.dumps(payload, sort_keys=True, indent=1, default=_json_form)
+    Path(path).write_text(FORMAT_HEADER + "\n" + body + "\n", encoding="utf-8")
 
 
 def load_corpus(path) -> Corpus:
-    """Read a file written by persist_corpus; wrong version or shape fails."""
+    """Read a file written by persist_corpus; wrong version or shape fails,
+    and so does a record object with a missing or unknown field."""
     text = Path(path).read_text(encoding="utf-8")
     header, _, body = text.partition("\n")
     if header != FORMAT_HEADER:
@@ -561,30 +541,14 @@ def load_corpus(path) -> Corpus:
         )
     try:
         payload = json.loads(body)
-        papers = [
-            PaperRecord(
-                paper_id=d["paper_id"],
-                title=d["title"],
-                volume=d["volume"],
-                issue=d["issue"],
-                year=d["year"],
-                author_ids=tuple(d["author_ids"]),
-                pacs_codes=frozenset(d["pacs_codes"]),
-                reference_keys=tuple(
-                    ReferenceKey(r["key"], r["internal_paper_id"])
-                    for r in d["reference_keys"]
-                ),
-            )
-            for d in payload["papers"]
-        ]
-        authors = [
-            AuthorRecord(d["author_id"], d["name"], frozenset(d["affiliation_ids"]))
-            for d in payload["authors"]
-        ]
-        affiliations = [
-            AffiliationRecord(d["affiliation_id"], d["name"], d["country"])
-            for d in payload["affiliations"]
-        ]
+        papers = _records(
+            PaperRecord, payload["papers"],
+            author_ids=tuple,
+            pacs_codes=frozenset,
+            reference_keys=lambda refs: tuple(_records(ReferenceKey, refs)),
+        )
+        authors = _records(AuthorRecord, payload["authors"], affiliation_ids=frozenset)
+        affiliations = _records(AffiliationRecord, payload["affiliations"])
         corpus = Corpus(papers, authors, affiliations)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"corrupt corpus file: {exc}") from exc

@@ -192,8 +192,9 @@ def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Gr
     ids = relation.nodes[side](corpus)
     groups = (relation.ends[1 - side](corpus, g) for g in relation.nodes[1 - side](corpus))
     if internal_only and layer is Layer.COCITATION:
-        keep = corpus.internal_id_for_key().keys()
-        ids, groups = keep & ids, (keep & set(g) for g in groups)
+        keep = {r.key for p in corpus.papers.values() for r in p.reference_keys
+                if r.internal_paper_id is not None}
+        ids, groups = ids.keys() & keep, (keep & set(g) for g in groups)
     aux = None
     if layer is Layer.COAUTHORSHIP:
         aux = {author_node(a): len(corpus.papers_by_author.get(a, ())) for a in ids}

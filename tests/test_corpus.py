@@ -1,11 +1,17 @@
+import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from journet.corpus import (
+    AffiliationRecord,
+    AuthorRecord,
     Corpus,
     CorpusFormatError,
     IngestError,
+    PaperRecord,
+    ReferenceKey,
     TimeIndex,
     ingest_corpus,
     load_corpus,
@@ -188,6 +194,20 @@ def test_author_index_matches_linear_scan():
         assert list(corpus.papers_by_author.get(aid, ())) == expected
 
 
+@pytest.mark.parametrize("kind", ["paper", "author", "affiliation"])
+def test_corpus_rejects_duplicate_id(kind):
+    tables = {
+        "paper": [make_paper("v1n1p1", [10])],
+        "author": make_authors([10]),
+        "affiliation": [AffiliationRecord(1, "Institute A")],
+    }
+    first = tables[kind][0]
+    tables[kind].append(replace(first))  # an equal record, not the same object
+    first_id = getattr(first, f"{kind}_id")
+    with pytest.raises(ValueError, match=f"^duplicate {kind} id {first_id}$"):
+        Corpus(tables["paper"], tables["author"], tables["affiliation"])
+
+
 def test_parse_paper_id_round_trip():
     assert parse_paper_id("v4n4p14") == (4, 4, 14)
     for bad in ["v4n4", "x4n4p14", "v04n4p14", "v0n1p1", "v4n4p14x"]:
@@ -331,3 +351,61 @@ def test_load_rejects_semantically_broken_corpus(tmp_path):
     persist_corpus(corpus, path)
     with pytest.raises(CorpusFormatError, match="dangling-author"):
         load_corpus(path)
+
+
+# One object of each record kind in a persisted corpus, and each kind's fields.
+RECORD_OBJECTS = {
+    "paper": lambda payload: payload["papers"][0],
+    "reference": lambda payload: payload["papers"][1]["reference_keys"][0],
+    "author": lambda payload: payload["authors"][0],
+    "affiliation": lambda payload: payload["affiliations"][0],
+}
+RECORD_FIELDS = {
+    "paper": ["paper_id", "title", "volume", "issue", "year", "author_ids", "pacs_codes",
+              "reference_keys"],
+    "reference": ["key", "internal_paper_id"],
+    "author": ["author_id", "name", "affiliation_ids"],
+    "affiliation": ["affiliation_id", "name", "country"],
+}
+
+
+def persisted_payload(tmp_path):
+    corpus = Corpus(
+        [make_paper("v1n1p1", [10], pacs=["05.50.+q"]),
+         make_paper("v1n2p1", [10], refs=[("cited work", "v1n1p1")])],
+        [AuthorRecord(10, "Ann", frozenset({1}))],
+        [AffiliationRecord(1, "Institute A", "UA")],
+    )
+    path = tmp_path / "c.corpus"
+    persist_corpus(corpus, path)
+    header, _, body = path.read_text(encoding="utf-8").partition("\n")
+    return path, header, json.loads(body)
+
+
+@pytest.mark.parametrize("kind, field", [
+    (kind, field) for kind, fields in RECORD_FIELDS.items() for field in fields
+])
+def test_load_rejects_record_with_missing_field(tmp_path, kind, field):
+    path, header, payload = persisted_payload(tmp_path)
+    del RECORD_OBJECTS[kind](payload)[field]
+    path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="corrupt"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("kind", RECORD_OBJECTS)
+def test_load_rejects_record_with_unknown_field(tmp_path, kind):
+    path, header, payload = persisted_payload(tmp_path)
+    RECORD_OBJECTS[kind](payload)["note"] = "not a field"
+    path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="corrupt"):
+        load_corpus(path)
+
+
+def test_record_fields_cover_each_dataclass(tmp_path):
+    classes = {"paper": PaperRecord, "reference": ReferenceKey, "author": AuthorRecord,
+               "affiliation": AffiliationRecord}
+    _, _, payload = persisted_payload(tmp_path)
+    for kind, cls in classes.items():
+        assert list(cls.__dataclass_fields__) == RECORD_FIELDS[kind]
+        assert sorted(RECORD_OBJECTS[kind](payload)) == sorted(RECORD_FIELDS[kind])

@@ -526,7 +526,7 @@ def persist_corpus(corpus: Corpus, path) -> None:
         "authors": [corpus.authors[aid] for aid in sorted(corpus.authors)],
         "affiliations": [corpus.affiliations[fid] for fid in sorted(corpus.affiliations)],
     }
-    body = json.dumps(payload, sort_keys=True, indent=1, default=_json_form)
+    body = json.dumps(payload, sort_keys=True, default=_json_form)
     Path(path).write_text(FORMAT_HEADER + "\n" + body + "\n", encoding="utf-8")
 
 

@@ -330,6 +330,18 @@ def test_persist_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_load_reads_indented_layout(tmp_path):
+    # files written before the compact layout hold the same JSON, indented
+    corpus = random_corpus(random.Random(4))
+    path = tmp_path / "c.corpus"
+    persist_corpus(corpus, path)
+    header, _, body = path.read_text(encoding="utf-8").partition("\n")
+    indented = json.dumps(json.loads(body), sort_keys=True, indent=1)
+    assert indented != body.rstrip("\n")
+    path.write_text(header + "\n" + indented + "\n", encoding="utf-8")
+    assert load_corpus(path) == corpus
+
+
 def test_load_rejects_wrong_version(tmp_path):
     path = tmp_path / "bad.corpus"
     path.write_text("journet-corpus v999\n{}\n", encoding="utf-8")

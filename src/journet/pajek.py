@@ -82,11 +82,10 @@ def parse_pajek(text: str, kind: str = "auto") -> Graph:
         line = line.strip()
         if not line:
             continue
-        if line.lower() == "*edges":
-            directed = False
-            continue
-        if line.lower() == "*arcs":
-            directed = True
+        if line.lower() in ("*edges", "*arcs"):
+            if directed is not None:
+                raise PajekFormatError(f"line {lineno}: second section header {line!r}")
+            directed = line.lower() == "*arcs"
             continue
         if directed is None:
             m = _VERTEX_RE.match(line)

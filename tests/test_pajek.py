@@ -102,6 +102,14 @@ def test_parse_rejects_repeated_label():
         parse_pajek('*Vertices 2\n1 "a"\n1 "b"\n2 "c"\n*Edges\n1 2 1\n', kind="reference")
 
 
+def test_parse_rejects_second_section_header():
+    # read as one directed section, the edge 1-2 would become the arc 1->2
+    with pytest.raises(PajekFormatError, match=r"line 7: second section header '\*Arcs'"):
+        parse_pajek('*Vertices 3\n1 "1"\n2 "2"\n3 "3"\n*Edges\n1 2 1\n*Arcs\n2 3 1\n')
+    with pytest.raises(PajekFormatError, match=r"line 4: second section header '\*Edges'"):
+        parse_pajek('*Vertices 1\n1 "1"\n*Edges\n*Edges\n')
+
+
 def test_parse_reports_non_integer_author_label_with_line():
     with pytest.raises(PajekFormatError, match="line 3: bad vertex label"):
         parse_pajek('*Vertices 2\n1 "10"\n2 "smith"\n*Edges\n', kind="author")

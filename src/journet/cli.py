@@ -103,12 +103,13 @@ def _cmd_distribution(args) -> int:
 
 def _cmd_communities(args) -> int:
     layer = layer_from_token(args.layer)
+    # read the token before the run, which takes minutes on a large layer
+    node = None if args.node is None else _node_for_layers(args.node, [layer])
     graph = build_layer(_load(args), layer).symmetrized()
     result = girvan_newman(graph)
     if args.dump_dendrogram:
         sys.stdout.write(reports.dendrogram_lines(result))
-    elif args.node is not None:
-        node = _node_for_layers(args.node, [layer])
+    elif node is not None:
         members = community_of(result, node)
         sys.stdout.write(reports.community_members_csv(members))
     else:

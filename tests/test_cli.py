@@ -326,6 +326,19 @@ def test_communities_outputs(corpus_file, capsys):
     assert out.startswith("node_id\n")
 
 
+def test_communities_rejects_node_token_before_the_run(corpus_file, capsys, monkeypatch):
+    def must_not_run(graph):
+        pytest.fail("girvan_newman ran before the --node token was read")
+
+    monkeypatch.setattr("journet.cli.girvan_newman", must_not_run)
+    code = main([
+        "communities", "--corpus", str(corpus_file), "--layer", "coauthorship",
+        "--node", "v1n1p1",
+    ])
+    assert code == 2
+    assert "looks like a paper id" in capsys.readouterr().err
+
+
 def test_library_and_cli_agree(corpus_file, capsys):
     from journet.corpus import load_corpus
     from journet.layers import Layer, build_layer

@@ -12,6 +12,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -496,8 +497,7 @@ def snapshot(corpus: Corpus, as_of: TimeIndex) -> Corpus:
 # -- persistence --------------------------------------------------------------
 
 def _json_form(value):
-    """What json cannot write itself: a set as its sorted list, a record as
-    the dict of its dataclass fields."""
+    """What json cannot write itself: a set as a sorted list, a record as a dict."""
     if isinstance(value, frozenset):
         return sorted(value)
     return {name: getattr(value, name) for name in value.__dataclass_fields__}
@@ -506,26 +506,24 @@ def _json_form(value):
 def _records(cls, objects, **converters) -> list:
     """Build a ``cls`` record from each JSON object through the record's own
     constructor, once ``converters`` turn fields from their JSON form.  An
-    object holds exactly the record's fields: the constructor refuses an
-    unknown field, the count a missing one."""
-    names = cls.__dataclass_fields__
+    object holds exactly the record's fields: a missing one fails the count
+    or the lookup, an unknown one the count."""
+    names = tuple(cls.__dataclass_fields__)
+    values_of = itemgetter(*names)
     records = []
     for fields in objects:
         if len(fields) != len(names):
             raise ValueError(f"{cls.__name__} fields {sorted(fields)} are not {sorted(names)}")
         if converters:
             fields = {**fields, **{name: convert(fields[name]) for name, convert in converters.items()}}
-        records.append(cls(**fields))
+        records.append(cls(*values_of(fields)))
     return records
 
 
 def persist_corpus(corpus: Corpus, path) -> None:
     """Write the corpus as a single self-describing text file."""
-    payload = {
-        "papers": [corpus.papers[pid] for pid in sorted(corpus.papers)],
-        "authors": [corpus.authors[aid] for aid in sorted(corpus.authors)],
-        "affiliations": [corpus.affiliations[fid] for fid in sorted(corpus.affiliations)],
-    }
+    tables = {"papers": corpus.papers, "authors": corpus.authors, "affiliations": corpus.affiliations}
+    payload = {name: [table[key] for key in sorted(table)] for name, table in tables.items()}
     body = json.dumps(payload, sort_keys=True, default=_json_form)
     Path(path).write_text(FORMAT_HEADER + "\n" + body + "\n", encoding="utf-8")
 

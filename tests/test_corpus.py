@@ -410,4 +410,3 @@ def test_load_rejects_record_with_unknown_field(tmp_path, kind):
     path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="corrupt"):
         load_corpus(path)
-

@@ -10,7 +10,6 @@ from pathlib import Path
 from journet import (
     Layer,
     adjacency_rows,
-    build_bipartite,
     build_layer,
     ingest_corpus,
     project_one_mode,
@@ -28,8 +27,7 @@ for layer in Layer:
     print(f"{layer.value:28} {g.node_count:>5} {g.link_count:>5}  {g.directed}")
 
 # the projection route, spelled out
-bip = build_bipartite(corpus, Layer.BIPARTITE_AUTHOR_PAPER)
-coauth = project_one_mode(bip, "left")
+coauth = project_one_mode(build_layer(corpus, Layer.BIPARTITE_AUTHOR_PAPER), "author")
 assert coauth == build_layer(corpus, Layer.COAUTHORSHIP)
 
 print("\nco-authorship adjacency (id | neighbours | degree | papers):")

@@ -52,9 +52,7 @@ from .graph import (
     reference_node,
 )
 from .layers import (
-    BipartiteGraph,
     Layer,
-    build_bipartite,
     build_layer,
     is_bipartite_between,
     layer_from_token,

@@ -11,9 +11,8 @@ order, so reports and exported files are reproducible byte for byte.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 AUTHOR = "author"
@@ -229,27 +228,6 @@ def build_graph(
     if directed:
         return Graph(True, nodes, _rows(order, rank, out), _rows(order, rank, back))
     return Graph(False, nodes, _rows(order, rank, out))
-
-
-def _co_members(member, groups) -> Counter:
-    """How many of ``groups``, sets all holding ``member``, each other member is in."""
-    counts = Counter(chain.from_iterable(groups))
-    del counts[member]
-    return counts
-
-
-def _pair_counts(kind: str, ids: Iterable, groups: Iterable[Iterable], aux=None) -> Graph:
-    """Undirected graph over ids of one node kind where two nodes link once
-    per group holding both; each group counts as a set of ids in ``ids``."""
-    ids = sorted(ids)
-    index = {x: i for i, x in enumerate(ids)}
-    held: list[list[set[int]]] = [[] for _ in ids]  # node -> the groups holding it
-    for group in groups:
-        members = {index[x] for x in group}
-        for i in members:
-            held[i].append(members)
-    rows = tuple(dict(sorted(_co_members(i, sets).items())) for i, sets in enumerate(held))
-    return Graph(False, tuple(NodeRef(kind, x) for x in ids), rows, aux=aux)
 
 
 def bfs(adj, source: int, depth: int | None = None) -> tuple[list[int], dict[int, int]]:

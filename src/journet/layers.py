@@ -8,6 +8,8 @@ links as they are.  A one-mode layer keeps one side of a relation and
 links two of its nodes once per node of the other side they share, as
 counted by one pair-count kernel.  :func:`build_layer` builds a whole
 layer; :func:`_seed_row` reads one node's row off the same relation.
+:func:`project_one_mode` counts the same shared neighbours straight off
+the rows of any two-kind graph, such as one read back from Pajek.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterable
 
 from .corpus import Corpus
 from .graph import (
@@ -25,8 +28,6 @@ from .graph import (
     REFERENCE,
     Graph,
     NodeRef,
-    _co_members,
-    _pair_counts,
     author_node,
     build_graph,
 )
@@ -49,10 +50,6 @@ class Layer(Enum):
     @property
     def directed(self) -> bool:
         return self is Layer.PAPER_CITATION
-
-    @property
-    def bipartite(self) -> bool:
-        return _LAYERS[self][1] is None and not self.directed
 
     @property
     def node_kinds(self) -> frozenset[str]:
@@ -123,19 +120,6 @@ _LAYERS = {
 }
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Undirected graph whose links only ever cross from left kind to right kind."""
-
-    graph: Graph
-    left_kind: str
-    right_kind: str
-
-    def side(self, which: str) -> list[NodeRef]:
-        kind = {"left": self.left_kind, "right": self.right_kind}[which]
-        return [n for n in self.graph.nodes() if n.kind == kind]
-
-
 def is_bipartite_between(graph: Graph, left_kind: str, right_kind: str) -> bool:
     """Scan check: every link joins one left-kind node to one right-kind node."""
     return all({u.kind, v.kind} == {left_kind, right_kind} for u, v, _ in graph.links())
@@ -150,32 +134,44 @@ def _link_graph(corpus: Corpus, relation: _Relation, directed: bool) -> Graph:
     return build_graph(directed, links, isolated_nodes=nodes)
 
 
-def build_bipartite(corpus: Corpus, layer: Layer) -> BipartiteGraph:
-    """Build one of the three two-kind graphs, all nodes retained.
+def _co_members(member, groups) -> Counter:
+    """How many of ``groups``, sets all holding ``member``, each other member is in."""
+    counts = Counter(chain.from_iterable(groups))
+    del counts[member]
+    return counts
 
-    Author-paper: author linked to each paper they wrote.  Paper-PACS:
-    paper linked to each of its codes.  Paper-reference: paper linked to
-    each distinct key in its reference list.  All weights are 1.
+
+def _pair_counts(kind: str, ids: Iterable, groups: Iterable[Iterable], aux=None) -> Graph:
+    """Undirected graph over ids of one node kind where two nodes link once
+    per group holding both; each group counts as a set of ids in ``ids``."""
+    ids = sorted(ids)
+    index = {x: i for i, x in enumerate(ids)}
+    held: list[list[set[int]]] = [[] for _ in ids]  # node -> the groups holding it
+    for group in groups:
+        members = {index[x] for x in group}
+        for i in members:
+            held[i].append(members)
+    rows = tuple(dict(sorted(_co_members(i, sets).items())) for i, sets in enumerate(held))
+    return Graph(False, tuple(NodeRef(kind, x) for x in ids), rows, aux=aux)
+
+
+def project_one_mode(graph: Graph, kind: str) -> Graph:
+    """Collapse an undirected two-kind graph onto its ``kind`` nodes.
+
+    Every link must join one ``kind`` node to a node of another kind.
+    Two ``kind`` nodes link whenever they share at least one neighbour;
+    the weight is the number of shared neighbours.  ``kind`` nodes
+    without any shared neighbour stay as isolated nodes.
     """
-    if not layer.bipartite:
-        raise ValueError(f"{layer.value} is not a bipartite layer")
-    relation, _ = _LAYERS[layer]
-    return BipartiteGraph(_link_graph(corpus, relation, False), *relation.kinds)
-
-
-def project_one_mode(bipartite: BipartiteGraph, side: str) -> Graph:
-    """Collapse a bipartite graph onto one side.
-
-    Two same-side nodes link whenever they share at least one counterpart
-    on the other side; the weight is the number of shared counterparts.
-    Side nodes without any shared counterpart stay as isolated nodes.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    keep_kind = bipartite.left_kind if side == "left" else bipartite.right_kind
-    graph = bipartite.graph
-    groups = ([v.id for v in graph.neighbors(c)] for c in graph.nodes() if c.kind != keep_kind)
-    return _pair_counts(keep_kind, [n.id for n in bipartite.side(side)], groups)
+    if graph.directed:
+        raise ValueError("cannot project a directed graph")
+    nodes, rows = graph.nodes(), graph.adjacency()
+    keep = {i: k for k, i in enumerate(i for i, node in enumerate(nodes) if node.kind == kind)}
+    if any((i in keep) == (j in keep) for i, row in enumerate(rows) for j in row):
+        raise ValueError(f"every link must have exactly one {kind} end")
+    projected = (_co_members(i, [rows[g] for g in rows[i]]) for i in keep)
+    return Graph(False, tuple(nodes[i] for i in keep),
+                 tuple({keep[j]: w for j, w in sorted(row.items())} for row in projected))
 
 
 def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Graph:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from journet.communities import edge_betweenness, girvan_newman
 from journet.corpus import Corpus, load_corpus, persist_corpus, snapshot
 from journet.graph import author_node, build_graph, paper_node
-from journet.layers import Layer, build_bipartite, build_layer, project_one_mode
+from journet.layers import Layer, build_layer, project_one_mode
 from journet.metrics import (
     bfs_distances,
     clustering,
@@ -67,11 +67,11 @@ def test_criterion_2_projection_against_brute_force():
         for seed in range(100):
             rng = random.Random(seed)
             bip = random_bipartite(rng, rng.randint(1, 20), rng.randint(1, 20), 0.2)
-            side = rng.choice(["left", "right"])
-            nodes = bip.side(side)
-            counterparts = {u: set(bip.graph.neighbors(u)) for u in nodes}
+            kind = rng.choice(["author", "paper"])
+            nodes = [n for n in bip.nodes() if n.kind == kind]
+            counterparts = {u: set(bip.neighbors(u)) for u in nodes}
             expected = brute_projection(nodes, counterparts)
-            actual = {(u, v): w for u, v, w in project_one_mode(bip, side).links()}
+            actual = {(u, v): w for u, v, w in project_one_mode(bip, kind).links()}
             assert actual == expected
 
 
@@ -137,11 +137,11 @@ def test_criterion_6_coupling_cocitation_duality():
     with criterion(6, "coupling/co-citation vs bipartite projection", 10.0):
         for seed in range(50):
             corpus = random_corpus(random.Random(2000 + seed))
-            bip = build_bipartite(corpus, Layer.BIPARTITE_PAPER_REFERENCE)
+            bip = build_layer(corpus, Layer.BIPARTITE_PAPER_REFERENCE)
             coupling = build_layer(corpus, Layer.COUPLING)
-            assert coupling == project_one_mode(bip, "left")
+            assert coupling == project_one_mode(bip, "paper")
             cocitation = build_layer(corpus, Layer.COCITATION)
-            assert cocitation == project_one_mode(bip, "right")
+            assert cocitation == project_one_mode(bip, "reference")
 
 
 def test_criterion_7_evolution_monotone():

@@ -13,14 +13,13 @@ from journet.graph import (
     reference_node,
 )
 from journet.layers import (
-    BipartiteGraph,
     Layer,
-    build_bipartite,
     build_layer,
     is_bipartite_between,
     layer_from_token,
     project_one_mode,
 )
+from journet.pajek import export_pajek, parse_pajek
 from journet.retrieval import related_rank
 
 from conftest import make_authors, make_paper, random_corpus
@@ -36,8 +35,7 @@ def small_corpus():
 
 
 def test_bipartite_author_paper_links():
-    bip = build_bipartite(small_corpus(), Layer.BIPARTITE_AUTHOR_PAPER)
-    g = bip.graph
+    g = build_layer(small_corpus(), Layer.BIPARTITE_AUTHOR_PAPER)
     assert g.has_link(author_node(1), paper_node("v1n1p1"))
     assert g.has_link(author_node(2), paper_node("v1n1p1"))
     assert g.has_link(author_node(2), paper_node("v1n1p2"))
@@ -46,20 +44,20 @@ def test_bipartite_author_paper_links():
 
 
 def test_bipartite_paper_without_codes_is_isolated():
-    bip = build_bipartite(small_corpus(), Layer.BIPARTITE_PAPER_PACS)
-    assert bip.graph.neighbors(paper_node("v1n1p2")) == []
-    assert bip.graph.neighbors(paper_node("v1n1p1")) == [pacs_node("05.50.+q")]
+    g = build_layer(small_corpus(), Layer.BIPARTITE_PAPER_PACS)
+    assert g.neighbors(paper_node("v1n1p2")) == []
+    assert g.neighbors(paper_node("v1n1p1")) == [pacs_node("05.50.+q")]
 
 
 def test_bipartite_links_match_record_scan():
     corpus = random_corpus(random.Random(21))
-    bip = build_bipartite(corpus, Layer.BIPARTITE_PAPER_REFERENCE)
+    g = build_layer(corpus, Layer.BIPARTITE_PAPER_REFERENCE)
     expected = set()
     for pid, p in corpus.papers.items():
         for ref in p.reference_keys:
             expected.add((paper_node(pid), reference_node(ref.key)))
     actual = set()
-    for u, v, w in bip.graph.links():
+    for u, v, w in g.links():
         assert w == 1
         actual.add((u, v) if u.kind == "paper" else (v, u))
     assert actual == expected
@@ -95,33 +93,57 @@ def random_bipartite(rng, n_left, n_right, p):
         for v in rights:
             if rng.random() < p:
                 links.append((u, v, 1))
-    g = build_graph(False, links, isolated_nodes=lefts + rights)
-    return BipartiteGraph(g, "author", "paper")
+    return build_graph(False, links, isolated_nodes=lefts + rights)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_projection_matches_brute_force(seed):
     rng = random.Random(seed)
     bip = random_bipartite(rng, rng.randint(1, 20), rng.randint(1, 20), 0.2)
-    for side in ("left", "right"):
-        nodes = bip.side(side)
-        counterparts = {u: set(bip.graph.neighbors(u)) for u in nodes}
+    for kind in ("author", "paper"):
+        nodes = [n for n in bip.nodes() if n.kind == kind]
+        counterparts = {u: set(bip.neighbors(u)) for u in nodes}
         expected = brute_projection(nodes, counterparts)
-        g = project_one_mode(bip, side)
+        g = project_one_mode(bip, kind)
         actual = {(u, v): w for u, v, w in g.links()}
         assert actual == expected
         assert sorted(g.nodes()) == sorted(nodes)
 
 
-def test_projection_rejects_bad_side():
-    bip = random_bipartite(random.Random(0), 3, 3, 0.5)
-    with pytest.raises(ValueError, match="side"):
-        project_one_mode(bip, "top")
+@pytest.mark.parametrize(
+    "layer, kind, message",
+    [
+        (Layer.COAUTHORSHIP, "author", "exactly one author end"),
+        (Layer.PAPER_CITATION, "paper", "directed"),
+        (Layer.BIPARTITE_AUTHOR_PAPER, "pacs", "exactly one pacs end"),
+    ],
+    ids=["same-kind-link", "directed", "kind-on-no-link"],
+)
+def test_projection_rejects_graph_without_one_kind_end_per_link(layer, kind, message):
+    g = build_layer(random_corpus(random.Random(5)), layer)
+    assert g.link_count > 0
+    with pytest.raises(ValueError, match=message):
+        project_one_mode(g, kind)
 
 
-def test_build_bipartite_rejects_one_mode_layer():
-    with pytest.raises(ValueError, match="not a bipartite layer"):
-        build_bipartite(small_corpus(), Layer.COAUTHORSHIP)
+PAJEK_PROJECTIONS = [
+    (Layer.BIPARTITE_AUTHOR_PAPER, "author", Layer.COAUTHORSHIP),
+    (Layer.BIPARTITE_AUTHOR_PAPER, "paper", Layer.PAPER_COMMON_AUTHOR),
+    (Layer.BIPARTITE_PAPER_REFERENCE, "paper", Layer.COUPLING),
+    (Layer.BIPARTITE_PAPER_REFERENCE, "reference", Layer.COCITATION),
+]
+
+
+@pytest.mark.parametrize(
+    "bipartite, kind, layer", PAJEK_PROJECTIONS, ids=lambda x: getattr(x, "value", x)
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_projection_of_graph_read_back_from_pajek(bipartite, kind, layer, seed):
+    # Node kinds come back by id shape ("auto"): these corpora's work keys
+    # ("external work 3", "journal item v1n1p2") never look like other ids.
+    corpus = random_corpus(random.Random(300 + seed))
+    read_back = parse_pajek(export_pajek(build_layer(corpus, bipartite)))
+    assert project_one_mode(read_back, kind) == build_layer(corpus, layer)
 
 
 def test_citation_layer_arcs_point_citer_to_cited(triple_relation_corpus):
@@ -191,9 +213,9 @@ def test_projection_agrees_with_raw_records():
 @pytest.mark.parametrize("seed", range(10))
 def test_coupling_cocitation_duality(seed):
     corpus = random_corpus(random.Random(100 + seed))
-    bip = build_bipartite(corpus, Layer.BIPARTITE_PAPER_REFERENCE)
-    assert build_layer(corpus, Layer.COUPLING) == project_one_mode(bip, "left")
-    assert build_layer(corpus, Layer.COCITATION) == project_one_mode(bip, "right")
+    bip = build_layer(corpus, Layer.BIPARTITE_PAPER_REFERENCE)
+    assert build_layer(corpus, Layer.COUPLING) == project_one_mode(bip, "paper")
+    assert build_layer(corpus, Layer.COCITATION) == project_one_mode(bip, "reference")
 
 
 def test_layers_are_loop_free_and_symmetric():
@@ -275,11 +297,11 @@ def test_author_listed_twice_counts_one_shared_paper():
         make_paper("v1n2p1", [2, 3, 3]),
     ]
     corpus = Corpus(papers, make_authors([1, 2, 3]))
-    bipartite = build_bipartite(corpus, Layer.BIPARTITE_AUTHOR_PAPER)
+    bipartite = build_layer(corpus, Layer.BIPARTITE_AUTHOR_PAPER)
     expected = {
-        Layer.COAUTHORSHIP: (project_one_mode(bipartite, "left"), {(1, 2): 1, (1, 3): 1, (2, 3): 1}),
+        Layer.COAUTHORSHIP: (project_one_mode(bipartite, "author"), {(1, 2): 1, (1, 3): 1, (2, 3): 1}),
         Layer.PAPER_COMMON_AUTHOR: (
-            project_one_mode(bipartite, "right"),
+            project_one_mode(bipartite, "paper"),
             {("v1n1p1", "v1n1p2"): 1, ("v1n1p1", "v1n2p1"): 1, ("v1n1p2", "v1n2p1"): 1},
         ),
     }

@@ -19,7 +19,7 @@ from .graph import REFERENCE, NodeRef, reference_node
 from .layers import Layer, build_layer, layer_from_token
 from .metrics import EVOLUTION_METRICS, degree_stats, evolution_series, metrics_report
 from .pajek import export_pajek, infer_node
-from .retrieval import layer_overlap, neighborhood, related_rank
+from .retrieval import DIRECTIONS, layer_overlap, neighborhood, related_rank
 
 LAYER_TOKENS = [layer.value for layer in Layer]
 
@@ -196,8 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("communities", help="divisive community detection")
     corpus_arg(p)
     p.add_argument("--layer", required=True, choices=LAYER_TOKENS)
-    p.add_argument("--node", default=None, help="print the community of this node")
-    p.add_argument("--dump-dendrogram", action="store_true")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--node", default=None, help="print the community of this node")
+    output.add_argument("--dump-dendrogram", action="store_true")
     p.set_defaults(func=_cmd_communities)
 
     p = sub.add_parser("neighbors", help="BFS ball around a node in one layer")
@@ -205,21 +206,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", required=True, choices=LAYER_TOKENS)
     p.add_argument("--node", required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--direction", choices=["both", "out", "in"], default="both")
+    p.add_argument("--direction", choices=list(DIRECTIONS), default="both")
     p.set_defaults(func=_cmd_neighbors)
 
     p = sub.add_parser("overlap", help="nodes related to a seed in every layer")
     corpus_arg(p)
     p.add_argument("--node", required=True)
     p.add_argument("--layers", required=True, help="comma-separated layer names")
-    p.add_argument("--direction", choices=["both", "out", "in"], default="both")
+    p.add_argument("--direction", choices=list(DIRECTIONS), default="both")
     p.set_defaults(func=_cmd_overlap)
 
     p = sub.add_parser("rank", help="related nodes ordered by layer agreement")
     corpus_arg(p)
     p.add_argument("--node", required=True)
     p.add_argument("--layers", required=True, help="comma-separated layer names")
-    p.add_argument("--direction", choices=["both", "out", "in"], default="both")
+    p.add_argument("--direction", choices=list(DIRECTIONS), default="both")
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("evolution", help="metric over cumulative time slices")

@@ -339,6 +339,20 @@ def test_communities_rejects_node_token_before_the_run(corpus_file, capsys, monk
     assert "looks like a paper id" in capsys.readouterr().err
 
 
+def test_communities_rejects_node_with_dendrogram_before_loading(corpus_file, capsys, monkeypatch):
+    def must_not_run(*args):
+        pytest.fail("communities ran although --node and --dump-dendrogram were both given")
+
+    monkeypatch.setattr("journet.cli.load_corpus", must_not_run)
+    monkeypatch.setattr("journet.cli.girvan_newman", must_not_run)
+    code = main([
+        "communities", "--corpus", str(corpus_file), "--layer", "coauthorship",
+        "--node", "3672", "--dump-dendrogram",
+    ])
+    assert code == 1
+    assert "argument --dump-dendrogram: not allowed with argument --node" in capsys.readouterr().err
+
+
 def test_library_and_cli_agree(corpus_file, capsys):
     from journet.corpus import load_corpus
     from journet.layers import Layer, build_layer

@@ -166,12 +166,13 @@ def project_one_mode(graph: Graph, kind: str) -> Graph:
     if graph.directed:
         raise ValueError("cannot project a directed graph")
     nodes, rows = graph.nodes(), graph.adjacency()
-    keep = {i: k for k, i in enumerate(i for i, node in enumerate(nodes) if node.kind == kind)}
-    if any((i in keep) == (j in keep) for i, row in enumerate(rows) for j in row):
+    kept = [i for i, node in enumerate(nodes) if node.kind == kind]
+    new = {i: k for k, i in enumerate(kept)}  # keeps node order, so rows stay ascending
+    if any((i in new) == (j in new) for i, row in enumerate(rows) for j in row):
         raise ValueError(f"every link must have exactly one {kind} end")
-    projected = (_co_members(i, [rows[g] for g in rows[i]]) for i in keep)
-    return Graph(False, tuple(nodes[i] for i in keep),
-                 tuple({keep[j]: w for j, w in sorted(row.items())} for row in projected))
+    projected = (_co_members(i, [rows[g] for g in rows[i]]) for i in kept)
+    return Graph(False, tuple(nodes[i] for i in kept),
+                 tuple({new[j]: w for j, w in sorted(row.items())} for row in projected))
 
 
 def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Graph:

@@ -24,6 +24,7 @@ from journet.retrieval import related_rank
 
 from conftest import make_authors, make_paper, random_corpus
 from oracles import brute_projection
+from test_graph import assert_rows_ascending
 
 
 def small_corpus():
@@ -108,6 +109,7 @@ def test_projection_matches_brute_force(seed):
         actual = {(u, v): w for u, v, w in g.links()}
         assert actual == expected
         assert sorted(g.nodes()) == sorted(nodes)
+        assert_rows_ascending(g)
 
 
 @pytest.mark.parametrize(
@@ -143,7 +145,9 @@ def test_projection_of_graph_read_back_from_pajek(bipartite, kind, layer, seed):
     # ("external work 3", "journal item v1n1p2") never look like other ids.
     corpus = random_corpus(random.Random(300 + seed))
     read_back = parse_pajek(export_pajek(build_layer(corpus, bipartite)))
-    assert project_one_mode(read_back, kind) == build_layer(corpus, layer)
+    projected = project_one_mode(read_back, kind)
+    assert projected == build_layer(corpus, layer)
+    assert_rows_ascending(projected)
 
 
 def test_citation_layer_arcs_point_citer_to_cited(triple_relation_corpus):

@@ -39,6 +39,8 @@ def _node_for_layers(token: str, layers: list[Layer]) -> NodeRef:
     a key.  Author and paper ids have a fixed shape; a token of another
     shape is an error.  Where the layers hold two kinds, a ``kind:id``
     token names the kind outright; otherwise the shape tells them apart.
+    Commands read the token before they load the corpus, so a bad token
+    fails before any layer is built or community run started.
     """
     kinds = frozenset.intersection(*(layer.node_kinds for layer in layers))
     if not kinds:
@@ -103,7 +105,6 @@ def _cmd_distribution(args) -> int:
 
 def _cmd_communities(args) -> int:
     layer = layer_from_token(args.layer)
-    # read the token before the run, which takes minutes on a large layer
     node = None if args.node is None else _node_for_layers(args.node, [layer])
     graph = build_layer(_load(args), layer).symmetrized()
     result = girvan_newman(graph)
@@ -119,8 +120,8 @@ def _cmd_communities(args) -> int:
 
 def _cmd_neighbors(args) -> int:
     layer = layer_from_token(args.layer)
-    graph = build_layer(_load(args), layer)
     node = _node_for_layers(args.node, [layer])
+    graph = build_layer(_load(args), layer)
     result = neighborhood(graph, node, args.depth, direction=args.direction)
     sys.stdout.write(reports.neighborhood_csv(result))
     return 0
@@ -132,8 +133,8 @@ def _split_layers(tokens: str) -> list[Layer]:
 
 def _cmd_overlap(args) -> int:
     layers = _split_layers(args.layers)
-    corpus = _load(args)
     node = _node_for_layers(args.node, layers)
+    corpus = _load(args)
     result = layer_overlap(corpus, node, layers, citation_direction=args.direction)
     sys.stdout.write(reports.overlap_csv(result))
     return 0
@@ -141,8 +142,8 @@ def _cmd_overlap(args) -> int:
 
 def _cmd_rank(args) -> int:
     layers = _split_layers(args.layers)
-    corpus = _load(args)
     node = _node_for_layers(args.node, layers)
+    corpus = _load(args)
     items = related_rank(corpus, node, layers, citation_direction=args.direction)
     sys.stdout.write(reports.ranking_csv(items))
     return 0

@@ -12,6 +12,8 @@ import csv
 import json
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import starmap
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -138,8 +140,11 @@ class Corpus:
 
     ``papers_by_author``, ``papers_by_pacs`` and ``citing_by_key`` are
     derived once, at construction, and trusted from then on; they map to
-    sorted tuples of paper ids.  A corpus is never mutated: ingest, load
-    and snapshot each build a new one from its records.
+    sorted tuples of paper ids.  ``citing_by_paper``, from a cited
+    journal paper's id to the papers citing it, is derived the same way
+    but only on first read, since ingest, load and snapshot never need
+    it.  A corpus is never mutated: ingest, load and snapshot each build
+    a new one from its records.
     """
 
     def __init__(
@@ -158,6 +163,11 @@ class Corpus:
             self.papers, lambda p: sorted(p.pacs_codes))
         self.citing_by_key: dict[str, tuple[str, ...]] = _index(
             self.papers, lambda p: sorted(ref.key for ref in p.reference_keys))
+
+    @cached_property
+    def citing_by_paper(self) -> dict[str, tuple[str, ...]]:
+        return _index(self.papers, lambda p: (
+            ref.internal_paper_id for ref in p.reference_keys if ref.internal_paper_id is not None))
 
     @property
     def paper_count(self) -> int:
@@ -503,21 +513,30 @@ def _json_form(value):
     return {name: getattr(value, name) for name in value.__dataclass_fields__}
 
 
-def _records(cls, objects, **converters) -> list:
-    """Build a ``cls`` record from each JSON object through the record's own
-    constructor, once ``converters`` turn fields from their JSON form.  An
-    object holds exactly the record's fields: a missing one fails the count
-    or the lookup, an unknown one the count."""
+def _reader(cls, **converters):
+    """A function that builds a ``cls`` record from each JSON object in a
+    list through the record's own constructor, once ``converters`` turn
+    fields from their JSON form.  An object holds exactly the record's
+    fields: a missing one fails the count or the lookup, an unknown one
+    the count.  Build it once and use it for every list of its records."""
     names = tuple(cls.__dataclass_fields__)
     values_of = itemgetter(*names)
-    records = []
-    for fields in objects:
-        if len(fields) != len(names):
-            raise ValueError(f"{cls.__name__} fields {sorted(fields)} are not {sorted(names)}")
-        if converters:
-            fields = {**fields, **{name: convert(fields[name]) for name, convert in converters.items()}}
-        records.append(cls(*values_of(fields)))
-    return records
+    convert = [(names.index(name), f) for name, f in converters.items()]
+
+    def converted(values) -> list:
+        values = list(values)
+        for i, f in convert:
+            values[i] = f(values[i])
+        return values
+
+    def read(objects) -> list:
+        for fields in objects:
+            if len(fields) != len(names):
+                raise ValueError(f"{cls.__name__} fields {sorted(fields)} are not {sorted(names)}")
+        rows = map(values_of, objects)
+        return list(starmap(cls, map(converted, rows) if convert else rows))
+
+    return read
 
 
 def persist_corpus(corpus: Corpus, path) -> None:
@@ -539,14 +558,15 @@ def load_corpus(path) -> Corpus:
         )
     try:
         payload = json.loads(body)
-        papers = _records(
-            PaperRecord, payload["papers"],
+        read_refs = _reader(ReferenceKey)
+        papers = _reader(
+            PaperRecord,
             author_ids=tuple,
             pacs_codes=frozenset,
-            reference_keys=lambda refs: tuple(_records(ReferenceKey, refs)),
-        )
-        authors = _records(AuthorRecord, payload["authors"], affiliation_ids=frozenset)
-        affiliations = _records(AffiliationRecord, payload["affiliations"])
+            reference_keys=lambda refs: tuple(read_refs(refs)),
+        )(payload["papers"])
+        authors = _reader(AuthorRecord, affiliation_ids=frozenset)(payload["authors"])
+        affiliations = _reader(AffiliationRecord)(payload["affiliations"])
         corpus = Corpus(papers, authors, affiliations)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"corrupt corpus file: {exc}") from exc

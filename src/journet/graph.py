@@ -73,9 +73,10 @@ def reference_node(key: str) -> NodeRef:
 class Graph:
     """Undirected edges or directed arcs over NodeRef nodes.
 
-    Build instances with :func:`build_graph`; treat them as read-only
-    afterwards.  No self-loops, no parallel links (duplicates aggregate
-    into the weight), weights always >= 1.
+    Build instances with :func:`build_graph`, or straight from sorted
+    nodes and ascending rows as the layer builders do; treat them as
+    read-only afterwards.  No self-loops, no parallel links (duplicates
+    aggregate into the weight), weights always >= 1.
 
     Inside, node ``i`` is ``nodes()[i]`` and row ``i`` is a dict from
     each neighbour's index to the link weight, keys inserted ascending:
@@ -166,11 +167,16 @@ class Graph:
                     yield nodes[i], nodes[j], w
 
     def symmetrized(self) -> "Graph":
-        """Undirected view of a directed graph; weights of opposite arcs add."""
+        """Undirected view of a directed graph; weights of opposite arcs add.
+
+        Each row merges the node's out-row and in-row, keys ascending, over
+        the same nodes tuple; aux counts are left out.  Built once, on
+        first call.
+        """
         if not self.directed:
             return self
         if self._symmetrized is None:
-            self._symmetrized = build_graph(False, self.links(), isolated_nodes=self._nodes)
+            self._symmetrized = Graph(False, self._nodes, _merged_rows(self._out, self._in))
         return self._symmetrized
 
     # -- comparison ----------------------------------------------------------
@@ -188,6 +194,21 @@ class Graph:
         return f"<Graph {shape} nodes={self.node_count} links={self.link_count}>"
 
 
+def _merged_rows(out, in_) -> tuple[dict[int, int], ...]:
+    """Undirected rows from out-arc and in-arc rows: row ``i`` holds both
+    rows of node ``i``, a neighbour in both with the two weights added,
+    keys ascending."""
+    rows = []
+    for row, back in zip(out, in_):
+        if row and back:
+            row = dict(row)
+            for j, w in back.items():
+                row[j] = row.get(j, 0) + w
+            row = dict(sorted(row.items()))
+        rows.append(row or back)
+    return tuple(rows)
+
+
 def _rows(order: list[int], rank: list[int], arcs: Mapping[int, dict[int, int]]):
     """Rows in ``order``, keys ascending, from arcs between numbers."""
     return tuple(dict(sorted((rank[b], w) for b, w in arcs.get(a, {}).items())) for a in order)
@@ -198,11 +219,13 @@ def build_graph(
     links: Iterable[tuple[NodeRef, NodeRef, int]],
     isolated_nodes: Iterable[NodeRef] = (),
 ) -> Graph:
-    """Aggregate (u, v, weight) triples into a Graph.
+    """Aggregate caller-supplied (u, v, weight) triples into a Graph.
 
-    Duplicate links add their weights.  For undirected graphs (u, v) and
-    (v, u) are the same link.  Self-loops are rejected.  Nodes listed in
-    ``isolated_nodes`` exist in the result even without links.
+    This is the constructor for links that come from outside the layer
+    builders: Pajek files, the public API and tests.  Duplicate links add
+    their weights.  For undirected graphs (u, v) and (v, u) are the same
+    link.  Self-loops are rejected.  Nodes listed in ``isolated_nodes``
+    exist in the result even without links.
     """
     seen: dict[NodeRef, int] = {}  # node -> number in order of first sight
     for node in isolated_nodes:

@@ -27,9 +27,10 @@ from .graph import (
     PAPER,
     REFERENCE,
     Graph,
+    GraphError,
     NodeRef,
     author_node,
-    build_graph,
+    _merged_rows,
 )
 
 
@@ -94,7 +95,7 @@ _CITES_WORK = _Relation(
 _CITES_PAPER = _Relation(
     (PAPER, PAPER),
     (lambda c: c.papers, lambda c: c.papers),
-    (_cited_papers, lambda c, q: [p for p in c.papers if q in _cited_papers(c, p)]),
+    (_cited_papers, lambda c, q: c.citing_by_paper.get(q, ())),
 )
 _USES_CODE = _Relation(
     (AUTHOR, PACS),
@@ -125,13 +126,43 @@ def is_bipartite_between(graph: Graph, left_kind: str, right_kind: str) -> bool:
     return all({u.kind, v.kind} == {left_kind, right_kind} for u, v, _ in graph.links())
 
 
+def _numbered(kind: str, ids: Iterable, start: int = 0) -> tuple[list[NodeRef], dict]:
+    """One kind's ids as sorted nodes, and each id's index among them
+    counted from ``start``."""
+    ids = sorted(ids)
+    return [NodeRef(kind, x) for x in ids], {x: i for i, x in enumerate(ids, start)}
+
+
 def _link_graph(corpus: Corpus, relation: _Relation, directed: bool) -> Graph:
-    """A relation's links as a graph of weight-1 links, repeats added up."""
+    """A relation's links as a graph of weight-1 links, repeats added up.
+
+    Every node on either side is kept, linked or not, and so is a far end
+    that its side does not list.  Nodes are sorted by (kind, id), so each
+    kind's ids take one run of indices; rows are built on those indices,
+    keys ascending.  A link from a node to itself raises GraphError.
+    """
     (left, right), ends = relation.kinds, relation.ends[0]
-    lefts, rights = relation.nodes[0](corpus), relation.nodes[1](corpus)
-    links = [(NodeRef(left, x), NodeRef(right, y), 1) for x in lefts for y in ends(corpus, x)]
-    nodes = [NodeRef(left, x) for x in lefts] + [NodeRef(right, y) for y in rights]
-    return build_graph(directed, links, isolated_nodes=nodes)
+    far = {x: Counter(ends(corpus, x)) for x in relation.nodes[0](corpus)}
+    ids = {left: set(), right: set()}
+    ids[left].update(far)
+    ids[right].update(relation.nodes[1](corpus), *far.values())
+    nodes, index = [], {}
+    for kind in sorted(ids):
+        kind_nodes, index[kind] = _numbered(kind, ids[kind], len(nodes))
+        nodes += kind_nodes
+    out: list[dict[int, int]] = [{} for _ in nodes]
+    at, to = index[left], index[right]
+    for x, counts in far.items():
+        row = out[at[x]] = dict(sorted((to[y], w) for y, w in counts.items()))
+        if at[x] in row:
+            raise GraphError(f"self-loop rejected: ({NodeRef(left, x)}, {NodeRef(right, x)})")
+    back: list[dict[int, int]] = [{} for _ in nodes]
+    for a, row in enumerate(out):  # a ascends, so every in-row does too
+        for b, w in row.items():
+            back[b][a] = w
+    if directed:
+        return Graph(True, tuple(nodes), tuple(out), tuple(back))
+    return Graph(False, tuple(nodes), _merged_rows(out, back))
 
 
 def _co_members(member, groups) -> Counter:
@@ -144,15 +175,14 @@ def _co_members(member, groups) -> Counter:
 def _pair_counts(kind: str, ids: Iterable, groups: Iterable[Iterable], aux=None) -> Graph:
     """Undirected graph over ids of one node kind where two nodes link once
     per group holding both; each group counts as a set of ids in ``ids``."""
-    ids = sorted(ids)
-    index = {x: i for i, x in enumerate(ids)}
-    held: list[list[set[int]]] = [[] for _ in ids]  # node -> the groups holding it
+    nodes, index = _numbered(kind, ids)
+    held: list[list[set[int]]] = [[] for _ in nodes]  # node -> the groups holding it
     for group in groups:
         members = {index[x] for x in group}
         for i in members:
             held[i].append(members)
     rows = tuple(dict(sorted(_co_members(i, sets).items())) for i, sets in enumerate(held))
-    return Graph(False, tuple(NodeRef(kind, x) for x in ids), rows, aux=aux)
+    return Graph(False, tuple(nodes), rows, aux=aux)
 
 
 def project_one_mode(graph: Graph, kind: str) -> Graph:

@@ -353,6 +353,21 @@ def test_communities_rejects_node_with_dendrogram_before_loading(corpus_file, ca
     assert "argument --dump-dendrogram: not allowed with argument --node" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["neighbors", "--layer", "coauthorship", "--depth", "1"],
+    ["overlap", "--layers", "coauthorship,author-common-pacs"],
+    ["rank", "--layers", "coauthorship,author-common-pacs"],
+], ids=lambda command: command[0])
+def test_query_commands_reject_node_token_before_loading(corpus_file, capsys, monkeypatch, command):
+    def must_not_run(*args):
+        pytest.fail("the corpus was loaded before the --node token was read")
+
+    monkeypatch.setattr("journet.cli.load_corpus", must_not_run)
+    code = main([*command, "--corpus", str(corpus_file), "--node", "v1n1p1"])
+    assert code == 2
+    assert "looks like a paper id" in capsys.readouterr().err
+
+
 def test_library_and_cli_agree(corpus_file, capsys):
     from journet.corpus import load_corpus
     from journet.layers import Layer, build_layer

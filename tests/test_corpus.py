@@ -21,6 +21,7 @@ from journet.corpus import (
 )
 
 from conftest import make_authors, make_paper, random_corpus
+from test_retrieval import messy_corpus
 
 PAPERS = """\
 paper_id,title,volume,issue,year,pacs
@@ -410,3 +411,33 @@ def test_load_rejects_record_with_unknown_field(tmp_path, kind):
     path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="corrupt"):
         load_corpus(path)
+
+
+def citing_scan(corpus):
+    """Cited paper id -> sorted ids of the papers citing it, from every reference list."""
+    index = {}
+    for pid in sorted(corpus.papers):
+        for cited in {r.internal_paper_id for r in corpus.papers[pid].reference_keys} - {None}:
+            index.setdefault(cited, []).append(pid)
+    return {cited: tuple(pids) for cited, pids in index.items()}
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_citing_index_matches_reference_scan(seed):
+    corpus = random_corpus(random.Random(seed))
+    assert corpus.citing_by_paper == citing_scan(corpus)
+    for as_of in corpus.time_indexes():
+        snap = snapshot(corpus, as_of)
+        assert "citing_by_paper" not in vars(snap)  # built on first read only
+        assert snap.citing_by_paper == citing_scan(snap)
+    messy = messy_corpus()
+    assert messy.citing_by_paper == citing_scan(messy)
+
+
+def test_citing_index_lists_a_paper_once_per_cited_paper():
+    corpus = Corpus(
+        [make_paper("v1n1p1", [1]),
+         make_paper("v1n2p1", [1], refs=[("a", "v1n1p1"), ("b", "v1n1p1"), "c"])],
+        make_authors([1]),
+    )
+    assert corpus.citing_by_paper == {"v1n1p1": ("v1n2p1",)}

@@ -209,3 +209,29 @@ def test_directed_degree_is_out_row_plus_in_row():
         i = g.index(node)
         assert g.degree(node) == len(out[i]) + len(in_[i])
         assert g.degree(node) == sum(node in (u, v) for u, v, _ in links)
+
+
+def assert_symmetrized_is_old_route(g):
+    # the view used to be rebuilt from the links; that route is the oracle
+    view = g.symmetrized()
+    assert view == build_graph(False, g.links(), isolated_nodes=g.nodes())
+    assert view.nodes() == g.nodes()
+    assert view.aux_counts is None
+    assert_rows_ascending(view)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_symmetrized_matches_build_graph_on_random_digraphs(seed):
+    rng = random.Random(400 + seed)
+    nodes = [author_node(i) for i in range(1, 21)] + [paper_node(f"v1n1p{i}") for i in range(1, 11)]
+    links = [(u, v, rng.randint(1, 3)) for u in nodes for v in nodes if u != v and rng.random() < 0.1]
+    links += [(v, u, rng.randint(1, 3)) for u, v, _ in rng.sample(links, len(links) // 4)]
+    rng.shuffle(links)
+    g = build_graph(True, links, isolated_nodes=nodes + [paper_node("v9n9p9")])
+    assert any(g.has_link(v, u) for u, v, _ in g.links())  # opposite arcs are present
+    assert_symmetrized_is_old_route(g)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_symmetrized_citation_layer_matches_build_graph(seed):
+    assert_symmetrized_is_old_route(build_layer(random_corpus(random.Random(seed)), Layer.PAPER_CITATION))

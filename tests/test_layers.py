@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 
@@ -5,6 +6,8 @@ import pytest
 
 from journet.corpus import Corpus
 from journet.graph import (
+    GraphError,
+    NodeRef,
     adjacency_rows,
     author_node,
     build_graph,
@@ -13,6 +16,7 @@ from journet.graph import (
     reference_node,
 )
 from journet.layers import (
+    _LAYERS,
     Layer,
     build_layer,
     is_bipartite_between,
@@ -25,6 +29,7 @@ from journet.retrieval import related_rank
 from conftest import make_authors, make_paper, random_corpus
 from oracles import brute_projection
 from test_graph import assert_rows_ascending
+from test_retrieval import messy_corpus
 
 
 def small_corpus():
@@ -333,3 +338,55 @@ def test_repeated_author_counts_once_in_indexes_links_and_aux():
                           (Layer.BIPARTITE_AUTHOR_PAPER, Layer.PAPER_COMMON_AUTHOR))
     assert [(item.node, item.weight_sum) for item in ranked] == [
         (author_node(10), 1), (author_node(11), 1), (paper_node("v1n1p2"), 1)]
+
+
+LINK_LAYERS = [layer for layer in Layer if _LAYERS[layer][1] is None]
+
+
+def noderef_link_graph(corpus, layer):
+    """A link layer as it was built before integer rows: one weight-1
+    NodeRef link per far end, aggregated by build_graph."""
+    relation, _ = _LAYERS[layer]
+    (left, right), ends = relation.kinds, relation.ends[0]
+    lefts, rights = relation.nodes[0](corpus), relation.nodes[1](corpus)
+    links = [(NodeRef(left, x), NodeRef(right, y), 1) for x in lefts for y in ends(corpus, x)]
+    nodes = [NodeRef(left, x) for x in lefts] + [NodeRef(right, y) for y in rights]
+    return build_graph(layer.directed, links, isolated_nodes=nodes)
+
+
+def authorless_corpus():
+    """A random journal with one paper stripped of its authors, so that
+    the author-paper layer has an isolated paper."""
+    corpus = random_corpus(random.Random(64))
+    papers = [corpus.papers[pid] for pid in sorted(corpus.papers)]
+    papers[2] = dataclasses.replace(papers[2], author_ids=())
+    return Corpus(papers, corpus.authors.values())
+
+
+@pytest.mark.parametrize("corpus_id", ["random-61", "random-62", "random-63", "messy", "authorless"])
+@pytest.mark.parametrize("layer", LINK_LAYERS, ids=lambda layer: layer.value)
+def test_link_layer_matches_noderef_route(layer, corpus_id):
+    if corpus_id == "messy":
+        corpus = messy_corpus()
+    elif corpus_id == "authorless":
+        corpus = authorless_corpus()
+    else:
+        corpus = random_corpus(random.Random(int(corpus_id.split("-")[1])))
+    g = build_layer(corpus, layer)
+    expected = noderef_link_graph(corpus, layer)
+    assert g == expected
+    assert g.adjacency("in") == expected.adjacency("in")
+    assert g.symmetrized() == expected.symmetrized()
+    assert_rows_ascending(g)
+
+
+def test_messy_citation_layer_keeps_the_dangling_target():
+    g = build_layer(messy_corpus(), Layer.PAPER_CITATION)
+    lost = paper_node("v9n9p9")
+    assert g.has_node(lost) and g.neighbors(lost) == [] and len(g.in_neighbors(lost)) == 1
+
+
+def test_self_citing_paper_is_rejected_on_citation_layer():
+    corpus = Corpus([make_paper("v1n1p1", [1], refs=[("own work", "v1n1p1")])], make_authors([1]))
+    with pytest.raises(GraphError, match="self-loop"):
+        build_layer(corpus, Layer.PAPER_CITATION)

@@ -138,13 +138,12 @@ class ValidationReport:
 class Corpus:
     """Immutable record store with derived inverted indexes.
 
-    ``papers_by_author``, ``papers_by_pacs`` and ``citing_by_key`` are
-    derived once, at construction, and trusted from then on; they map to
-    sorted tuples of paper ids.  ``citing_by_paper``, from a cited
-    journal paper's id to the papers citing it, is derived the same way
-    but only on first read, since ingest, load and snapshot never need
-    it.  A corpus is never mutated: ingest, load and snapshot each build
-    a new one from its records.
+    Each index maps a key to the sorted ids of the papers holding it:
+    ``papers_by_author`` an author id, ``papers_by_pacs`` a PACS code,
+    ``citing_by_key`` a cited work's key and ``citing_by_paper`` a cited
+    journal paper's id.  Each is derived from the records on first read
+    and trusted from then on.  A corpus is never mutated: ingest, load
+    and snapshot each build a new one from its records.
     """
 
     def __init__(
@@ -157,12 +156,17 @@ class Corpus:
         self.authors: dict[int, AuthorRecord] = _by_id(authors, "author")
         self.affiliations: dict[int, AffiliationRecord] = _by_id(affiliations, "affiliation")
 
-        self.papers_by_author: dict[int, tuple[str, ...]] = _index(
-            self.papers, lambda p: p.author_ids)
-        self.papers_by_pacs: dict[str, tuple[str, ...]] = _index(
-            self.papers, lambda p: sorted(p.pacs_codes))
-        self.citing_by_key: dict[str, tuple[str, ...]] = _index(
-            self.papers, lambda p: sorted(ref.key for ref in p.reference_keys))
+    @cached_property
+    def papers_by_author(self) -> dict[int, tuple[str, ...]]:
+        return _index(self.papers, lambda p: p.author_ids)
+
+    @cached_property
+    def papers_by_pacs(self) -> dict[str, tuple[str, ...]]:
+        return _index(self.papers, lambda p: sorted(p.pacs_codes))
+
+    @cached_property
+    def citing_by_key(self) -> dict[str, tuple[str, ...]]:
+        return _index(self.papers, lambda p: sorted(ref.key for ref in p.reference_keys))
 
     @cached_property
     def citing_by_paper(self) -> dict[str, tuple[str, ...]]:

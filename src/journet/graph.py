@@ -4,16 +4,18 @@ Nodes are (kind, id) pairs so authors, papers, PACS codes and cited works
 can coexist in one structure (the bipartite layers need two kinds at
 once).  Links carry positive integer weights counting multiplicity:
 shared papers, shared codes, co-citations.  Each node's row is one dict
-from neighbour index to weight, its keys in ascending order.  A graph is
-immutable once built and every accessor returns data in canonical sorted
-order, so reports and exported files are reproducible byte for byte.
+from neighbour index to weight, its keys in ascending order.  The
+:class:`Graph` constructor is the one place that puts rows in that form:
+builders hand it rows in any key order, and it sorts them and derives a
+directed graph's in-rows.  A graph is immutable once built and every
+accessor returns data in canonical sorted order, so reports and exported
+files are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 AUTHOR = "author"
 PAPER = "paper"
@@ -73,25 +75,32 @@ def reference_node(key: str) -> NodeRef:
 class Graph:
     """Undirected edges or directed arcs over NodeRef nodes.
 
-    Build instances with :func:`build_graph`, or straight from sorted
-    nodes and ascending rows as the layer builders do; treat them as
-    read-only afterwards.  No self-loops, no parallel links (duplicates
-    aggregate into the weight), weights always >= 1.
+    Build instances with :func:`build_graph`, or straight from nodes and
+    rows as the layer builders do; treat them as read-only afterwards.
+    No self-loops, no parallel links (duplicates aggregate into the
+    weight), weights always >= 1.
 
-    Inside, node ``i`` is ``nodes()[i]`` and row ``i`` is a dict from
-    each neighbour's index to the link weight, keys inserted ascending:
-    out-arcs, plus separate in-arc rows for a directed graph.
-    Undirected rows are stored symmetrically.  Nodes are indexed in
-    sorted order, so iterating a row gives canonical neighbour order.
+    ``nodes`` come in sorted order and node ``i`` is ``nodes[i]``.
+    ``rows`` is any iterable giving, for each node in turn, a mapping
+    from neighbour index to link weight, in any key order: a directed
+    graph's out-arcs, or an undirected graph's edges, each edge in the
+    rows of both its ends.  The constructor stores each row as a dict
+    with keys ascending, so iterating a row gives canonical neighbour
+    order, and derives a directed graph's in-arc rows from its out-rows.
     """
 
-    def __init__(self, directed, nodes, out, in_=None, aux=None):
+    def __init__(self, directed, nodes, rows, aux=None):
         self.directed = directed
-        self._nodes = nodes
-        self._index = {node: i for i, node in enumerate(nodes)}
-        self._out = out
-        self._in = in_ if directed else out
-        self._arc_count = sum(map(len, out))
+        self._nodes = tuple(nodes)
+        self._index = {node: i for i, node in enumerate(self._nodes)}
+        self._out = tuple(dict(sorted(row.items())) for row in rows)
+        self._in = self._out
+        if directed:
+            self._in = tuple({} for _ in self._nodes)
+            for a, row in enumerate(self._out):  # a ascends, so every in-row does too
+                for b, w in row.items():
+                    self._in[b][a] = w
+        self._arc_count = sum(map(len, self._out))
         self._aux = dict(aux) if aux else None
         self._symmetrized = None
 
@@ -169,14 +178,15 @@ class Graph:
     def symmetrized(self) -> "Graph":
         """Undirected view of a directed graph; weights of opposite arcs add.
 
-        Each row merges the node's out-row and in-row, keys ascending, over
-        the same nodes tuple; aux counts are left out.  Built once, on
-        first call.
+        Each row merges the node's out-row and in-row over the same nodes
+        tuple; aux counts are left out.  Built once, on first call.
         """
         if not self.directed:
             return self
         if self._symmetrized is None:
-            self._symmetrized = Graph(False, self._nodes, _merged_rows(self._out, self._in))
+            rows = (row | {j: row.get(j, 0) + w for j, w in back.items()}
+                    for row, back in zip(self._out, self._in))
+            self._symmetrized = Graph(False, self._nodes, rows)
         return self._symmetrized
 
     # -- comparison ----------------------------------------------------------
@@ -194,26 +204,6 @@ class Graph:
         return f"<Graph {shape} nodes={self.node_count} links={self.link_count}>"
 
 
-def _merged_rows(out, in_) -> tuple[dict[int, int], ...]:
-    """Undirected rows from out-arc and in-arc rows: row ``i`` holds both
-    rows of node ``i``, a neighbour in both with the two weights added,
-    keys ascending."""
-    rows = []
-    for row, back in zip(out, in_):
-        if row and back:
-            row = dict(row)
-            for j, w in back.items():
-                row[j] = row.get(j, 0) + w
-            row = dict(sorted(row.items()))
-        rows.append(row or back)
-    return tuple(rows)
-
-
-def _rows(order: list[int], rank: list[int], arcs: Mapping[int, dict[int, int]]):
-    """Rows in ``order``, keys ascending, from arcs between numbers."""
-    return tuple(dict(sorted((rank[b], w) for b, w in arcs.get(a, {}).items())) for a in order)
-
-
 def build_graph(
     directed: bool,
     links: Iterable[tuple[NodeRef, NodeRef, int]],
@@ -222,35 +212,27 @@ def build_graph(
     """Aggregate caller-supplied (u, v, weight) triples into a Graph.
 
     This is the constructor for links that come from outside the layer
-    builders: Pajek files, the public API and tests.  Duplicate links add
-    their weights.  For undirected graphs (u, v) and (v, u) are the same
-    link.  Self-loops are rejected.  Nodes listed in ``isolated_nodes``
-    exist in the result even without links.
+    builders: Pajek files, the public API and tests.  The nodes are the
+    ``isolated_nodes`` and both ends of every link, numbered in sorted
+    order.  Duplicate links add their weights.  For undirected graphs
+    (u, v) and (v, u) are the same link, written into the rows of both
+    ends.  Self-loops and weights below 1 are rejected.
     """
-    seen: dict[NodeRef, int] = {}  # node -> number in order of first sight
-    for node in isolated_nodes:
-        seen.setdefault(node, len(seen))
-    out: defaultdict[int, dict[int, int]] = defaultdict(dict)  # a -> {b: weight of a -> b}
-    back = defaultdict(dict) if directed else out  # b -> {a: weight of a -> b}
+    links = list(links)
+    ends = {*isolated_nodes, *(u for u, _, _ in links), *(v for _, v, _ in links)}
+    nodes = sorted(ends, key=lambda node: node.sort_key)
+    index = {node: i for i, node in enumerate(nodes)}
+    arcs: list[dict[int, int]] = [{} for _ in nodes]  # a -> {b: weight of a -> b}
     for u, v, w in links:
-        a = seen.setdefault(u, len(seen))
-        b = seen.setdefault(v, len(seen))
+        a, b = index[u], index[v]
         if a == b:
             raise GraphError(f"self-loop rejected: ({u}, {v})")
         if not isinstance(w, int) or isinstance(w, bool) or w < 1:
             raise GraphError(f"link weight must be an integer >= 1, got {w!r} for ({u}, {v})")
-        out[a][b] = out[a].get(b, 0) + w
-        back[b][a] = back[b].get(a, 0) + w
-
-    by_number = list(seen)
-    order = sorted(range(len(by_number)), key=lambda a: by_number[a].sort_key)
-    rank = [0] * len(order)  # number -> index
-    for i, a in enumerate(order):
-        rank[a] = i
-    nodes = tuple(by_number[a] for a in order)
-    if directed:
-        return Graph(True, nodes, _rows(order, rank, out), _rows(order, rank, back))
-    return Graph(False, nodes, _rows(order, rank, out))
+        arcs[a][b] = arcs[a].get(b, 0) + w
+        if not directed:
+            arcs[b][a] = arcs[b].get(a, 0) + w
+    return Graph(directed, nodes, arcs)
 
 
 def bfs(adj, source: int, depth: int | None = None) -> tuple[list[int], dict[int, int]]:

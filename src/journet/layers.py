@@ -30,7 +30,6 @@ from .graph import (
     GraphError,
     NodeRef,
     author_node,
-    _merged_rows,
 )
 
 
@@ -138,8 +137,9 @@ def _link_graph(corpus: Corpus, relation: _Relation, directed: bool) -> Graph:
 
     Every node on either side is kept, linked or not, and so is a far end
     that its side does not list.  Nodes are sorted by (kind, id), so each
-    kind's ids take one run of indices; rows are built on those indices,
-    keys ascending.  A link from a node to itself raises GraphError.
+    kind's ids take one run of indices.  Each left node's row holds its
+    far ends; an undirected graph also gets each link written back into
+    the far end's row.  A link from a node to itself raises GraphError.
     """
     (left, right), ends = relation.kinds, relation.ends[0]
     far = {x: Counter(ends(corpus, x)) for x in relation.nodes[0](corpus)}
@@ -150,19 +150,17 @@ def _link_graph(corpus: Corpus, relation: _Relation, directed: bool) -> Graph:
     for kind in sorted(ids):
         kind_nodes, index[kind] = _numbered(kind, ids[kind], len(nodes))
         nodes += kind_nodes
-    out: list[dict[int, int]] = [{} for _ in nodes]
+    rows: list[dict[int, int]] = [{} for _ in nodes]
     at, to = index[left], index[right]
     for x, counts in far.items():
-        row = out[at[x]] = dict(sorted((to[y], w) for y, w in counts.items()))
-        if at[x] in row:
+        a = at[x]
+        row = rows[a] = {to[y]: w for y, w in counts.items()}
+        if a in row:
             raise GraphError(f"self-loop rejected: ({NodeRef(left, x)}, {NodeRef(right, x)})")
-    back: list[dict[int, int]] = [{} for _ in nodes]
-    for a, row in enumerate(out):  # a ascends, so every in-row does too
-        for b, w in row.items():
-            back[b][a] = w
-    if directed:
-        return Graph(True, tuple(nodes), tuple(out), tuple(back))
-    return Graph(False, tuple(nodes), _merged_rows(out, back))
+        if not directed:
+            for b, w in row.items():
+                rows[b][a] = w
+    return Graph(directed, nodes, rows)
 
 
 def _co_members(member, groups) -> Counter:
@@ -181,8 +179,8 @@ def _pair_counts(kind: str, ids: Iterable, groups: Iterable[Iterable], aux=None)
         members = {index[x] for x in group}
         for i in members:
             held[i].append(members)
-    rows = tuple(dict(sorted(_co_members(i, sets).items())) for i, sets in enumerate(held))
-    return Graph(False, tuple(nodes), rows, aux=aux)
+    rows = (_co_members(i, sets) for i, sets in enumerate(held))
+    return Graph(False, nodes, rows, aux=aux)
 
 
 def project_one_mode(graph: Graph, kind: str) -> Graph:
@@ -197,12 +195,12 @@ def project_one_mode(graph: Graph, kind: str) -> Graph:
         raise ValueError("cannot project a directed graph")
     nodes, rows = graph.nodes(), graph.adjacency()
     kept = [i for i, node in enumerate(nodes) if node.kind == kind]
-    new = {i: k for k, i in enumerate(kept)}  # keeps node order, so rows stay ascending
+    new = {i: k for k, i in enumerate(kept)}  # keeps node order, so the nodes stay sorted
     if any((i in new) == (j in new) for i, row in enumerate(rows) for j in row):
         raise ValueError(f"every link must have exactly one {kind} end")
     projected = (_co_members(i, [rows[g] for g in rows[i]]) for i in kept)
-    return Graph(False, tuple(nodes[i] for i in kept),
-                 tuple({new[j]: w for j, w in sorted(row.items())} for row in projected))
+    return Graph(False, [nodes[i] for i in kept],
+                 ({new[j]: w for j, w in row.items()} for row in projected))
 
 
 def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Graph:

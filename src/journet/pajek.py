@@ -111,6 +111,10 @@ def parse_pajek(text: str, kind: str = "auto") -> Graph:
             raise PajekFormatError(f"line {lineno}: bad link line {line!r}") from None
         if i not in nodes or j not in nodes:
             raise PajekFormatError(f"line {lineno}: link references unknown vertex index")
+        if i == j:
+            raise PajekFormatError(f"line {lineno}: self-loop link {line!r}")
+        if w < 1:
+            raise PajekFormatError(f"line {lineno}: link weight below 1 in {line!r}")
         links.append((nodes[i], nodes[j], w))
 
     if len(nodes) != expected:

@@ -19,6 +19,7 @@ from journet.corpus import (
     snapshot,
     validate_corpus,
 )
+from journet.layers import Layer, build_layer
 
 from conftest import make_authors, make_paper, random_corpus
 from test_retrieval import messy_corpus
@@ -422,16 +423,29 @@ def citing_scan(corpus):
     return {cited: tuple(pids) for cited, pids in index.items()}
 
 
+INDEXES = ("papers_by_author", "papers_by_pacs", "citing_by_key", "citing_by_paper")
+
+
+def built_indexes(corpus):
+    return [name for name in INDEXES if name in vars(corpus)]
+
+
 @pytest.mark.parametrize("seed", [5, 6, 7])
-def test_citing_index_matches_reference_scan(seed):
+def test_citing_index_matches_reference_scan(seed, tmp_path):
     corpus = random_corpus(random.Random(seed))
     assert corpus.citing_by_paper == citing_scan(corpus)
     for as_of in corpus.time_indexes():
         snap = snapshot(corpus, as_of)
-        assert "citing_by_paper" not in vars(snap)  # built on first read only
+        assert built_indexes(snap) == []  # each built on first read only
         assert snap.citing_by_paper == citing_scan(snap)
     messy = messy_corpus()
     assert messy.citing_by_paper == citing_scan(messy)
+    persist_corpus(corpus, tmp_path / "c.corpus")
+    assert built_indexes(load_corpus(tmp_path / "c.corpus")) == []
+    assert built_indexes(ingest(tmp_path)) == []
+    fresh = random_corpus(random.Random(seed))
+    build_layer(fresh, Layer.COAUTHORSHIP)
+    assert built_indexes(fresh) == ["papers_by_author"]
 
 
 def test_citing_index_lists_a_paper_once_per_cited_paper():

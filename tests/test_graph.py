@@ -3,6 +3,7 @@ import random
 import pytest
 
 from journet.graph import (
+    Graph,
     GraphError,
     NodeRef,
     adjacency_rows,
@@ -175,6 +176,37 @@ def test_parsed_pajek_rows_stay_ascending():
                  for _ in range(120)]
         g = build_graph(directed, [(u, v, w) for u, v, w in links if u != v])
         assert_rows_ascending(parse_pajek(export_pajek(g)))
+
+
+def shuffled_rows(rng, rows):
+    given = []
+    for row in rows:
+        items = list(row.items())
+        rng.shuffle(items)
+        given.append(dict(items))
+    assert any(list(row) != sorted(row) for row in given)
+    return given
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_constructor_sorts_rows_and_derives_in_rows(seed):
+    rng = random.Random(60 + seed)
+    nodes = [author_node(i) for i in range(1, 26)]
+    arcs = [{j: rng.randint(1, 3) for j in range(len(nodes)) if j != i and rng.random() < 0.25}
+            for i in range(len(nodes))]
+    transpose = [{} for _ in nodes]
+    edges = [{} for _ in nodes]
+    for i, row in enumerate(arcs):
+        for j, w in row.items():
+            transpose[j][i] = w
+            edges[i][j] = edges[j][i] = w
+    directed = Graph(True, nodes, iter(shuffled_rows(rng, arcs)))
+    assert list(directed.adjacency("out")) == arcs
+    assert list(directed.adjacency("in")) == transpose
+    assert_rows_ascending(directed)
+    undirected = Graph(False, nodes, shuffled_rows(rng, edges))
+    assert list(undirected.adjacency()) == edges
+    assert_rows_ascending(undirected)
 
 
 def test_weight_of_missing_link_raises_key_error_naming_the_pair():

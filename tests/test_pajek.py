@@ -89,6 +89,11 @@ def test_parse_rejects_malformed():
         parse_pajek('*Vertices 3\n1 "1"\n*Edges\n')
     with pytest.raises(PajekFormatError, match="Edges"):
         parse_pajek('*Vertices 1\n1 "1"\n')
+    with pytest.raises(PajekFormatError, match="line 4: self-loop link '1 1 1'"):
+        parse_pajek('*Vertices 1\n1 "1"\n*Edges\n1 1 1\n')
+    for weight in ("0", "-3"):
+        with pytest.raises(PajekFormatError, match=f"line 5: link weight below 1 in '1 2 {weight}'"):
+            parse_pajek(f'*Vertices 2\n1 "1"\n2 "2"\n*Arcs\n1 2 {weight}\n')
 
 
 def test_parse_rejects_repeated_label():

@@ -7,8 +7,10 @@ path means, the dendrogram, BFS visit results, export bytes and the
 metrics of time slices (evolution, ``--as-of``), so a change to the
 graph core or to snapshots that alters any of them fails here.
 
-Run ``PYTHONPATH=src python3 tests/test_golden.py`` from the repository
-root to write the files again; only do that for a deliberate change of output.
+Run ``PYTHONPATH=src python3 tests/test_golden.py NAME...`` from the
+repository root to write the named fixtures again, or leave out the names
+to write every one; only do that for a deliberate change of output, or to
+record a new case with the code as it stands before a change.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import io
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -30,6 +33,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = 20100707
 SEED_PAPER = "v1n3p5"
 RANK_LAYERS = "paper-common-author,paper-citation,paper-common-pacs,coupling"
+SEED_AUTHOR = "103"  # the seed paper's author, in coauthorship and author-common-pacs
+BIPARTITE_LAYERS = "bipartite-author-paper,bipartite-paper-pacs"
 
 # fixture file -> CLI arguments after --corpus; "{out}" marks an --out path
 CASES = {
@@ -53,6 +58,13 @@ CASES = {
         "--depth", "2", "--direction", "both",
     ],
     "rank.csv": ["rank", "--node", SEED_PAPER, "--layers", RANK_LAYERS],
+    "rank-author.csv": [
+        "rank", "--node", SEED_AUTHOR, "--layers", "coauthorship,author-common-pacs",
+    ],
+    "rank-bipartite.csv": ["rank", "--node", SEED_PAPER, "--layers", BIPARTITE_LAYERS],
+    "overlap.csv": [
+        "overlap", "--node", SEED_PAPER, "--layers", "paper-citation,paper-common-pacs,coupling",
+    ],
     "coauthorship.net": [
         "export", "--layer", "coauthorship", "--format", "pajek", "--out", "{out}",
     ],
@@ -60,6 +72,12 @@ CASES = {
         "export", "--layer", "paper-citation", "--format", "pajek", "--out", "{out}",
     ],
     "coupling.net": ["export", "--layer", "coupling", "--format", "pajek", "--out", "{out}"],
+    "author-common-pacs.net": [
+        "export", "--layer", "author-common-pacs", "--format", "pajek", "--out", "{out}",
+    ],
+    "bipartite-author-paper.net": [
+        "export", "--layer", "bipartite-author-paper", "--format", "pajek", "--out", "{out}",
+    ],
     "bipartite-paper-reference.net": [
         "export", "--layer", "bipartite-paper-reference", "--format", "pajek", "--out", "{out}",
     ],
@@ -113,16 +131,20 @@ def test_cli_output_matches_golden(name, corpus_path, tmp_path):
     assert run_case(corpus_path, CASES[name], tmp_path / name) == expected
 
 
-def write_fixtures() -> None:
+def write_fixtures(names=()) -> None:
+    """Write the fixtures named, or every fixture when no name is given."""
+    unknown = sorted(set(names) - CASES.keys())
+    if unknown:
+        raise SystemExit(f"unknown fixtures: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         corpus_path = Path(tmp) / "journal.corpus"
         persist_corpus(golden_corpus(), corpus_path)
-        for name, args in sorted(CASES.items()):
-            text = run_case(corpus_path, args, Path(tmp) / name)
+        for name in sorted(names or CASES):
+            text = run_case(corpus_path, CASES[name], Path(tmp) / name)
             (GOLDEN / name).write_text(text, encoding="utf-8")
             print(f"wrote {GOLDEN / name} ({len(text)} bytes)")
 
 
 if __name__ == "__main__":
-    write_fixtures()
+    write_fixtures(sys.argv[1:])

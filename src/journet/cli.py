@@ -37,8 +37,9 @@ def _node_for_layers(token: str, layers: list[Layer]) -> NodeRef:
 
     Cited-work keys are free text, so on cited-work layers any token is
     a key.  Author and paper ids have a fixed shape; a token of another
-    shape is an error.  Where the layers hold two kinds, a ``kind:id``
-    token names the kind outright; otherwise the shape tells them apart.
+    shape is an error.  Where every layer holds two kinds, a ``kind:id``
+    token naming a kind they share names it outright; otherwise the shape
+    tells the kinds apart.
     Commands read the token before they load the corpus, so a bad token
     fails before any layer is built or community run started.
     """
@@ -48,7 +49,7 @@ def _node_for_layers(token: str, layers: list[Layer]) -> NodeRef:
             "the given layers hold no common node kind; pick layers over the same nodes"
         )
     kind, sep, text = token.partition(":")
-    if len(kinds) > 1 and sep and kind in kinds:
+    if sep and kind in kinds and all(len(layer.node_kinds) == 2 for layer in layers):
         kinds, token = frozenset({kind}), text
     if kinds == {REFERENCE}:
         return reference_node(token)

@@ -131,6 +131,13 @@ def test_cli_output_matches_golden(name, corpus_path, tmp_path):
     assert run_case(corpus_path, CASES[name], tmp_path / name) == expected
 
 
+def test_kind_prefix_names_a_shared_kind_of_two_kind_layers(corpus_path, tmp_path):
+    # both layers hold papers and one other kind, so "paper:" names the kind
+    args = ["rank", "--node", f"paper:{SEED_PAPER}", "--layers", BIPARTITE_LAYERS]
+    expected = (GOLDEN / "rank-bipartite.csv").read_text(encoding="utf-8")
+    assert run_case(corpus_path, args, tmp_path / "out") == expected
+
+
 def write_fixtures(names=()) -> None:
     """Write the fixtures named, or every fixture when no name is given."""
     unknown = sorted(set(names) - CASES.keys())

@@ -141,9 +141,11 @@ class Corpus:
     Each index maps a key to the sorted ids of the papers holding it:
     ``papers_by_author`` an author id, ``papers_by_pacs`` a PACS code,
     ``citing_by_key`` a cited work's key and ``citing_by_paper`` a cited
-    journal paper's id.  Each is derived from the records on first read
-    and trusted from then on.  A corpus is never mutated: ingest, load
-    and snapshot each build a new one from its records.
+    journal paper's id.  ``authors_by_pacs`` maps a PACS code to the
+    sorted ids of the authors on record who used it.  Each is derived
+    from the records on first read and trusted from then on.  A corpus
+    is never mutated: ingest, load and snapshot each build a new one
+    from its records.
     """
 
     def __init__(
@@ -163,6 +165,12 @@ class Corpus:
     @cached_property
     def papers_by_pacs(self) -> dict[str, tuple[str, ...]]:
         return _index(self.papers, lambda p: sorted(p.pacs_codes))
+
+    @cached_property
+    def authors_by_pacs(self) -> dict[str, tuple[int, ...]]:
+        return {code: tuple(sorted({a for p in pids for a in self.papers[p].author_ids
+                                    if a in self.authors}))
+                for code, pids in self.papers_by_pacs.items()}
 
     @cached_property
     def citing_by_key(self) -> dict[str, tuple[str, ...]]:

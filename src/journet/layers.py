@@ -29,7 +29,6 @@ from .graph import (
     Graph,
     GraphError,
     NodeRef,
-    author_node,
 )
 
 
@@ -64,7 +63,7 @@ class _Relation:
 
     ``nodes[s](corpus)`` gives every id on side ``s``, linked or not;
     ``ends[s](corpus, x)`` the far end of each link of node ``x`` on side
-    ``s``, so a link given twice repeats its far end.
+    ``s``, each far end once however often the records repeat the link.
     """
 
     kinds: tuple[str, str]
@@ -100,8 +99,7 @@ _USES_CODE = _Relation(
     (AUTHOR, PACS),
     (lambda c: c.authors, lambda c: c.papers_by_pacs),
     (lambda c, a: {k for p in c.papers_by_author.get(a, ()) for k in c.papers[p].pacs_codes},
-     lambda c, k: {a for p in c.papers_by_pacs[k] for a in c.papers[p].author_ids
-                   if a in c.authors}),
+     lambda c, k: c.authors_by_pacs[k]),
 )
 
 # Each layer as (relation, side): a one-mode layer keeps that side of the
@@ -133,7 +131,7 @@ def _numbered(kind: str, ids: Iterable, start: int = 0) -> tuple[list[NodeRef], 
 
 
 def _link_graph(corpus: Corpus, relation: _Relation, directed: bool) -> Graph:
-    """A relation's links as a graph of weight-1 links, repeats added up.
+    """A relation's links as a graph of weight-1 links.
 
     Every node on either side is kept, linked or not, and so is a far end
     that its side does not list.  Nodes are sorted by (kind, id), so each
@@ -142,7 +140,7 @@ def _link_graph(corpus: Corpus, relation: _Relation, directed: bool) -> Graph:
     the far end's row.  A link from a node to itself raises GraphError.
     """
     (left, right), ends = relation.kinds, relation.ends[0]
-    far = {x: Counter(ends(corpus, x)) for x in relation.nodes[0](corpus)}
+    far = {x: ends(corpus, x) for x in relation.nodes[0](corpus)}
     ids = {left: set(), right: set()}
     ids[left].update(far)
     ids[right].update(relation.nodes[1](corpus), *far.values())
@@ -152,19 +150,19 @@ def _link_graph(corpus: Corpus, relation: _Relation, directed: bool) -> Graph:
         nodes += kind_nodes
     rows: list[dict[int, int]] = [{} for _ in nodes]
     at, to = index[left], index[right]
-    for x, counts in far.items():
+    for x, ys in far.items():
         a = at[x]
-        row = rows[a] = {to[y]: w for y, w in counts.items()}
+        row = rows[a] = {to[y]: 1 for y in ys}
         if a in row:
             raise GraphError(f"self-loop rejected: ({NodeRef(left, x)}, {NodeRef(right, x)})")
         if not directed:
-            for b, w in row.items():
-                rows[b][a] = w
+            for b in row:
+                rows[b][a] = 1
     return Graph(directed, nodes, rows)
 
 
 def _co_members(member, groups) -> Counter:
-    """How many of ``groups``, sets all holding ``member``, each other member is in."""
+    """How many of ``groups``, each holding ``member`` and no id twice, each other member is in."""
     counts = Counter(chain.from_iterable(groups))
     del counts[member]
     return counts
@@ -172,7 +170,8 @@ def _co_members(member, groups) -> Counter:
 
 def _pair_counts(kind: str, ids: Iterable, groups: Iterable[Iterable], aux=None) -> Graph:
     """Undirected graph over ids of one node kind where two nodes link once
-    per group holding both; each group counts as a set of ids in ``ids``."""
+    per group holding both; each group counts as a set of ids in ``ids``,
+    and ``aux``, if given, maps each id to its node's aux count."""
     nodes, index = _numbered(kind, ids)
     held: list[list[set[int]]] = [[] for _ in nodes]  # node -> the groups holding it
     for group in groups:
@@ -180,7 +179,7 @@ def _pair_counts(kind: str, ids: Iterable, groups: Iterable[Iterable], aux=None)
         for i in members:
             held[i].append(members)
     rows = (_co_members(i, sets) for i, sets in enumerate(held))
-    return Graph(False, nodes, rows, aux=aux)
+    return Graph(False, nodes, rows, aux=aux and {node: aux[node.id] for node in nodes})
 
 
 def project_one_mode(graph: Graph, kind: str) -> Graph:
@@ -222,28 +221,28 @@ def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Gr
         ids, groups = ids.keys() & keep, (keep & set(g) for g in groups)
     aux = None
     if layer is Layer.COAUTHORSHIP:
-        aux = {author_node(a): len(corpus.papers_by_author.get(a, ())) for a in ids}
+        aux = {a: len(corpus.papers_by_author.get(a, ())) for a in ids}
     return _pair_counts(relation.kinds[side], ids, groups, aux)
 
 
-def _seed_row(corpus: Corpus, layer: Layer, seed: NodeRef, direction: str) -> dict[NodeRef, int]:
-    """The seed's neighbours in one layer with their link weights, read off
-    the layer's relation: co-members of the groups holding the seed, or the
-    far ends of its links (``direction`` picks citation arcs; both ways add)."""
+def _seed_row(corpus: Corpus, layer: Layer, seed: NodeRef, direction: str) -> tuple[str, dict]:
+    """The kind of the seed's neighbours in one layer, and their ids with
+    link weights, read off the layer's relation: co-members of the groups
+    holding the seed, or the far ends of its links (``direction`` picks
+    citation arcs; both ways add)."""
     relation, side = _LAYERS[layer]
     sides = [s for s in (0, 1) if relation.kinds[s] == seed.kind and side in (None, s)]
     if not any(seed.id in relation.nodes[s](corpus) for s in sides):
         raise ValueError(f"seed node {seed} is not in the graph")
     if side is not None:
-        group_ids = set(relation.ends[side](corpus, seed.id))
-        groups = [set(relation.ends[1 - side](corpus, g)) for g in group_ids]
-        return {NodeRef(seed.kind, x): w for x, w in _co_members(seed.id, groups).items()}
+        groups = [relation.ends[1 - side](corpus, g) for g in relation.ends[side](corpus, seed.id)]
+        return seed.kind, _co_members(seed.id, groups)
     if layer.directed:
         sides = {"out": [0], "in": [1], "both": [0, 1]}[direction]
     row = Counter()
     for s in sides:
         row.update(relation.ends[s](corpus, seed.id))
-    return {NodeRef(relation.kinds[1 - sides[0]], x): w for x, w in row.items()}
+    return relation.kinds[1 - sides[0]], row
 
 
 def layer_from_token(token: str) -> Layer:

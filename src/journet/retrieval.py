@@ -85,9 +85,10 @@ def layer_overlap(
 ) -> OverlapResult:
     """Nodes directly related to the seed in every one of the given layers."""
     layers = _check_query(seed, tuple(layers), citation_direction)
-    per_layer: dict[Layer, frozenset[NodeRef]] = {}
-    for layer in layers:
-        per_layer[layer] = frozenset(_seed_row(corpus, layer, seed, citation_direction))
+    rows = {layer: _seed_row(corpus, layer, seed, citation_direction) for layer in layers}
+    keys = {layer: [(kind, x) for x in row] for layer, (kind, row) in rows.items()}
+    nodes = {key: NodeRef(*key) for row in keys.values() for key in row}
+    per_layer = {layer: frozenset(map(nodes.__getitem__, row)) for layer, row in keys.items()}
     common = frozenset.intersection(*per_layer.values())
     return OverlapResult(seed, layers, per_layer, common)
 
@@ -104,12 +105,13 @@ def related_rank(
     the id tie-break makes the order total.
     """
     layers = _check_query(seed, tuple(layers), citation_direction)
-    counts: dict[NodeRef, int] = {}
-    weights: dict[NodeRef, int] = {}
+    counts: dict[tuple, int] = {}  # keyed by (kind, id), which sorts as NodeRef.sort_key
+    weights: dict[tuple, int] = {}
     for layer in layers:
-        for node, w in _seed_row(corpus, layer, seed, citation_direction).items():
-            counts[node] = counts.get(node, 0) + 1
-            weights[node] = weights.get(node, 0) + w
-    items = [RelatedItem(node, counts[node], weights[node]) for node in counts]
-    items.sort(key=lambda it: (-it.layer_count, -it.weight_sum, it.node.sort_key))
-    return items
+        kind, row = _seed_row(corpus, layer, seed, citation_direction)
+        for x, w in row.items():
+            key = kind, x
+            counts[key] = counts.get(key, 0) + 1
+            weights[key] = weights.get(key, 0) + w
+    order = sorted((-count, -weights[key], key) for key, count in counts.items())
+    return [RelatedItem(NodeRef(*key), -count, -weight) for count, weight, key in order]

@@ -423,7 +423,8 @@ def citing_scan(corpus):
     return {cited: tuple(pids) for cited, pids in index.items()}
 
 
-INDEXES = ("papers_by_author", "papers_by_pacs", "citing_by_key", "citing_by_paper")
+INDEXES = ("papers_by_author", "papers_by_pacs", "citing_by_key", "citing_by_paper",
+           "authors_by_pacs")
 
 
 def built_indexes(corpus):
@@ -446,6 +447,37 @@ def test_citing_index_matches_reference_scan(seed, tmp_path):
     fresh = random_corpus(random.Random(seed))
     build_layer(fresh, Layer.COAUTHORSHIP)
     assert built_indexes(fresh) == ["papers_by_author"]
+    fresh = random_corpus(random.Random(seed))
+    build_layer(fresh, Layer.AUTHOR_COMMON_PACS)
+    assert built_indexes(fresh) == ["papers_by_pacs", "authors_by_pacs"]
+
+
+def authors_by_pacs_scan(corpus):
+    """PACS code -> sorted ids of the authors on record of the papers carrying it."""
+    index = {code: set() for p in corpus.papers.values() for code in p.pacs_codes}
+    for p in corpus.papers.values():
+        for code in p.pacs_codes:
+            index[code].update(a for a in p.author_ids if a in corpus.authors)
+    return {code: tuple(sorted(authors)) for code, authors in index.items()}
+
+
+@pytest.mark.parametrize("corpus_id", ["random-5", "random-6", "random-7", "messy"])
+def test_authors_by_pacs_matches_scan(corpus_id):
+    if corpus_id == "messy":  # repeats an author on a paper and names one without a record
+        corpus = messy_corpus()
+    else:
+        corpus = random_corpus(random.Random(int(corpus_id.split("-")[1])))
+    assert corpus.authors_by_pacs == authors_by_pacs_scan(corpus)
+
+
+def test_authors_by_pacs_lists_authors_on_record_once():
+    corpus = Corpus(
+        [make_paper("v1n1p1", [2, 1, 2, 9], pacs=["01.10.Aa", "02.20.Bb"]),
+         make_paper("v1n1p2", [9], pacs=["02.20.Bb", "03.30.Cc"]),
+         make_paper("v1n2p1", [3, 1], pacs=["01.10.Aa"])],
+        make_authors([1, 2, 3]),
+    )
+    assert corpus.authors_by_pacs == {"01.10.Aa": (1, 2, 3), "02.20.Bb": (1, 2), "03.30.Cc": ()}
 
 
 def test_citing_index_lists_a_paper_once_per_cited_paper():

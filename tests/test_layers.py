@@ -380,6 +380,19 @@ def test_link_layer_matches_noderef_route(layer, corpus_id):
     assert_rows_ascending(g)
 
 
+@pytest.mark.parametrize("corpus_id", ["random-71", "random-72", "random-73", "messy"])
+def test_relation_ends_list_each_far_end_once(corpus_id):
+    if corpus_id == "messy":  # repeats an author on a paper
+        corpus = messy_corpus()
+    else:
+        corpus = random_corpus(random.Random(int(corpus_id.split("-")[1])))
+    for relation in dict.fromkeys(relation for relation, _ in _LAYERS.values()):
+        for side in (0, 1):
+            for x in relation.nodes[side](corpus):
+                ends = list(relation.ends[side](corpus, x))
+                assert len(ends) == len(set(ends)), (relation.kinds, side, x)
+
+
 def test_messy_citation_layer_keeps_the_dangling_target():
     g = build_layer(messy_corpus(), Layer.PAPER_CITATION)
     lost = paper_node("v9n9p9")

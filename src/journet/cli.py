@@ -38,8 +38,8 @@ def _node_for_layers(token: str, layers: list[Layer]) -> NodeRef:
     Cited-work keys are free text, so on cited-work layers any token is
     a key.  Author and paper ids have a fixed shape; a token of another
     shape is an error.  Where every layer holds two kinds, a ``kind:id``
-    token naming a kind they share names it outright; otherwise the shape
-    tells the kinds apart.
+    token whose kind they share names the kind outright; otherwise the
+    shape tells the kinds apart.
     Commands read the token before they load the corpus, so a bad token
     fails before any layer is built or community run started.
     """

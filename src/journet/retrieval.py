@@ -87,7 +87,7 @@ def layer_overlap(
     layers = _check_query(seed, tuple(layers), citation_direction)
     rows = {layer: _seed_row(corpus, layer, seed, citation_direction) for layer in layers}
     keys = {layer: [(kind, x) for x in row] for layer, (kind, row) in rows.items()}
-    nodes = {key: NodeRef(*key) for row in keys.values() for key in row}
+    nodes = {key: NodeRef(*key) for key in set().union(*keys.values())}
     per_layer = {layer: frozenset(map(nodes.__getitem__, row)) for layer, row in keys.items()}
     common = frozenset.intersection(*per_layer.values())
     return OverlapResult(seed, layers, per_layer, common)

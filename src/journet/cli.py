@@ -9,6 +9,7 @@ stderr.  Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -166,7 +167,10 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by
+    every call of :func:`main`; parsing leaves it unchanged."""
     parser = _Parser(prog="journet", description="Journal network analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 

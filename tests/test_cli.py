@@ -1,6 +1,6 @@
 import pytest
 
-from journet.cli import main
+from journet.cli import build_parser, main
 from journet.corpus import persist_corpus
 
 PAPERS = """\
@@ -393,3 +393,20 @@ def test_snapshot_cli_roundtrip(tmp_path, corpus_file, capsys):
     main(["stats", "--corpus", str(corpus_file), "--layer", "coauthorship", "--as-of", "v1n1"])
     via_flag = capsys.readouterr().out
     assert direct == via_flag
+
+
+def test_main_calls_share_one_parser_and_no_options(corpus_file, capsys):
+    from journet.corpus import load_corpus
+    from journet.layers import Layer, build_layer
+    from journet.metrics import metrics_report
+    from journet.reports import metrics_kv
+
+    plain = ["stats", "--corpus", str(corpus_file), "--layer", "coauthorship"]
+    assert main([*plain, "--as-of", "v1n1", "--format", "csv"]) == 0
+    first = capsys.readouterr().out
+    assert main(plain) == 0
+    second = capsys.readouterr().out
+    assert second == metrics_kv(metrics_report(build_layer(load_corpus(corpus_file),
+                                                           Layer.COAUTHORSHIP)))
+    assert first != second
+    assert build_parser() is build_parser()

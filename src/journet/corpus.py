@@ -145,7 +145,8 @@ class Corpus:
     sorted ids of the authors on record who used it.  Each is derived
     from the records on first read and trusted from then on.  A corpus
     is never mutated: ingest, load and snapshot each build a new one
-    from its records.
+    from its records.  Each layer built from a corpus is kept in it for
+    as long as the corpus lives (see ``layers.build_layer``).
     """
 
     def __init__(
@@ -157,6 +158,7 @@ class Corpus:
         self.papers: dict[str, PaperRecord] = _by_id(papers, "paper")
         self.authors: dict[int, AuthorRecord] = _by_id(authors, "author")
         self.affiliations: dict[int, AffiliationRecord] = _by_id(affiliations, "affiliation")
+        self._layers: dict = {}  # (layer, internal_only) -> Graph, filled by build_layer
 
     @cached_property
     def papers_by_author(self) -> dict[int, tuple[str, ...]]:

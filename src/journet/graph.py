@@ -77,6 +77,9 @@ class Graph:
 
     Build instances with :func:`build_graph`, or straight from nodes and
     rows as the layer builders do; treat them as read-only afterwards.
+    A graph may be shared: ``build_layer`` hands every caller the one
+    graph its corpus keeps, so the rows :meth:`adjacency` returns are
+    the graph's own dicts and must never be mutated.
     No self-loops, no parallel links (duplicates aggregate into the
     weight), weights always >= 1.
 
@@ -135,7 +138,8 @@ class Graph:
         """{neighbour index: weight} rows by node index: "out", "in" or "both" ways.
 
         "both" gives the rows of :meth:`symmetrized`, whose nodes have
-        the same indices.  All three agree on an undirected graph.
+        the same indices.  All three agree on an undirected graph.  The
+        rows are the graph's own and shared: never mutate them.
         """
         if direction == "both":
             return self.symmetrized()._out

@@ -14,7 +14,7 @@ the rows of any two-kind graph, such as one read back from Pajek.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import ChainMap, Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -61,7 +61,8 @@ class Layer(Enum):
 class _Relation:
     """Links from left nodes (side 0) to right nodes (side 1).
 
-    ``nodes[s](corpus)`` gives every id on side ``s``, linked or not;
+    ``nodes[s](corpus)`` gives every id on side ``s``, linked or not, as
+    a mapping whose keys are the ids, so a membership test builds nothing;
     ``ends[s](corpus, x)`` the far end of each link of node ``x`` on side
     ``s``, each far end once however often the records repeat the link.
     """
@@ -77,7 +78,7 @@ def _cited_papers(corpus: Corpus, pid: str) -> set[str]:
 
 _WROTE = _Relation(
     (AUTHOR, PAPER),
-    (lambda c: c.authors.keys() | c.papers_by_author.keys(), lambda c: c.papers),
+    (lambda c: ChainMap(c.authors, c.papers_by_author), lambda c: c.papers),
     (lambda c, a: c.papers_by_author.get(a, ()), lambda c, p: set(c.papers[p].author_ids)),
 )
 _CARRIES = _Relation(
@@ -203,19 +204,32 @@ def project_one_mode(graph: Graph, kind: str) -> Graph:
 
 
 def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Graph:
-    """Build the named layer from a corpus.
+    """The named layer of a corpus, built on first call.
 
     ``internal_only`` restricts the co-citation layer to cited works that
     are themselves journal papers; other layers ignore the flag.
     Citation arcs point from the citing paper to the cited one.
     Co-authorship carries each author's paper count as aux counts.
+
+    The corpus keeps every layer built from it, with the layer's
+    symmetrized view once read, for as long as the corpus lives, and a
+    later call returns the same graph.  That trades memory for time:
+    a dense one-mode layer of a 10^4-paper journal holds millions of
+    links.  The graph is shared, so it must never be mutated.
     """
+    key = layer, internal_only and layer is Layer.COCITATION
+    if key not in corpus._layers:
+        corpus._layers[key] = _build(corpus, *key)
+    return corpus._layers[key]
+
+
+def _build(corpus: Corpus, layer: Layer, internal_only: bool) -> Graph:
     relation, side = _LAYERS[layer]
     if side is None:
         return _link_graph(corpus, relation, layer.directed)
     ids = relation.nodes[side](corpus)
     groups = (relation.ends[1 - side](corpus, g) for g in relation.nodes[1 - side](corpus))
-    if internal_only and layer is Layer.COCITATION:
+    if internal_only:
         keep = {r.key for p in corpus.papers.values() for r in p.reference_keys
                 if r.internal_paper_id is not None}
         ids, groups = ids.keys() & keep, (keep & set(g) for g in groups)

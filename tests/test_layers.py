@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from journet.corpus import Corpus
+from journet.communities import edge_betweenness, girvan_newman
+from journet.corpus import Corpus, load_corpus, persist_corpus, snapshot
 from journet.graph import (
     GraphError,
     NodeRef,
@@ -23,8 +24,10 @@ from journet.layers import (
     layer_from_token,
     project_one_mode,
 )
+from journet.metrics import clustering, degree_stats, metrics_report
 from journet.pajek import export_pajek, parse_pajek
-from journet.retrieval import related_rank
+from journet.reports import adjacency_report_csv
+from journet.retrieval import DIRECTIONS, neighborhood, related_rank
 
 from conftest import make_authors, make_paper, random_corpus
 from oracles import brute_projection
@@ -403,3 +406,73 @@ def test_self_citing_paper_is_rejected_on_citation_layer():
     corpus = Corpus([make_paper("v1n1p1", [1], refs=[("own work", "v1n1p1")])], make_authors([1]))
     with pytest.raises(GraphError, match="self-loop"):
         build_layer(corpus, Layer.PAPER_CITATION)
+
+
+def fresh(corpus):
+    """A new corpus over the same records, holding no layer yet."""
+    return Corpus(corpus.papers.values(), corpus.authors.values(), corpus.affiliations.values())
+
+
+def assert_same_layer(g, expected):
+    assert g == expected
+    assert g.adjacency("in") == expected.adjacency("in")
+    assert g.symmetrized() == expected.symmetrized()
+    assert g.aux_counts == expected.aux_counts
+    assert_rows_ascending(g)
+
+
+@pytest.mark.parametrize("seed", [81, 82, 83])
+@pytest.mark.parametrize("layer", list(Layer), ids=lambda layer: layer.value)
+def test_a_corpus_builds_each_layer_once(layer, seed):
+    corpus = random_corpus(random.Random(seed))
+    g = build_layer(corpus, layer)
+    assert build_layer(corpus, layer) is g
+    assert g.symmetrized() is g.symmetrized()
+    assert_same_layer(g, build_layer(fresh(corpus), layer))
+    internal = build_layer(corpus, layer, internal_only=True)
+    if layer is Layer.COCITATION:  # the flag's graph is an entry of its own
+        assert internal != g
+        assert build_layer(corpus, layer, internal_only=True) is internal
+        assert build_layer(corpus, layer) is g
+        assert_same_layer(internal, build_layer(fresh(corpus), layer, internal_only=True))
+    else:  # the flag means nothing here, so the plain graph answers
+        assert internal is g
+
+
+@pytest.mark.parametrize("layer", list(Layer), ids=lambda layer: layer.value)
+def test_snapshot_and_reloaded_corpus_build_their_own_layers(layer, tmp_path):
+    corpus = random_corpus(random.Random(84))
+    g = build_layer(corpus, layer)
+    for as_of in corpus.time_indexes()[-2:]:
+        snap = snapshot(corpus, as_of)
+        built = build_layer(snap, layer)
+        assert built is not g and built is build_layer(snap, layer)
+        assert_same_layer(built, build_layer(fresh(snap), layer))
+    persist_corpus(corpus, tmp_path / "c.corpus")
+    loaded = load_corpus(tmp_path / "c.corpus")
+    built = build_layer(loaded, layer)
+    assert built is not g
+    assert_same_layer(built, g)
+
+
+@pytest.mark.parametrize("seed", [85, 86])
+@pytest.mark.parametrize("layer", list(Layer), ids=lambda layer: layer.value)
+def test_readers_leave_a_cached_layer_as_built(layer, seed):
+    corpus = random_corpus(random.Random(seed))
+    g = build_layer(corpus, layer)
+    assert g.link_count > 0
+    metrics_report(g)
+    degree_stats(g)
+    clustering(g)
+    for node in g.nodes()[:3]:
+        for direction in DIRECTIONS:
+            neighborhood(g, node, 2, direction=direction)
+    edge_betweenness(g.symmetrized())
+    girvan_newman(g.symmetrized())
+    export_pajek(g)
+    adjacency_report_csv(g)
+    if len(layer.node_kinds) == 2:  # the bipartite layers
+        for kind in layer.node_kinds:
+            project_one_mode(g, kind)
+    assert build_layer(corpus, layer) is g
+    assert_same_layer(g, build_layer(fresh(corpus), layer))

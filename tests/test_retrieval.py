@@ -6,7 +6,7 @@ import pytest
 
 from journet.corpus import Corpus, ReferenceKey
 from journet.graph import NODE_KINDS, author_node, build_graph, paper_node
-from journet.layers import Layer, build_layer
+from journet.layers import Layer, _seed_row, build_layer
 from journet.retrieval import RelatedItem, layer_overlap, neighborhood, related_rank
 
 from conftest import make_authors, make_paper, random_corpus, random_graph
@@ -281,3 +281,25 @@ def test_seed_rows_equal_built_rows(corpus_id):
                     related_rank(corpus, ghost, combo, direction)
                 with pytest.raises(ValueError, match="is not in the graph"):
                     layer_overlap(corpus, ghost, combo, direction)
+
+
+def test_seed_row_finds_an_author_without_a_record():
+    corpus = messy_corpus()  # author 555 is on one paper and has no record
+    paper = next(p for p in corpus.papers.values() if 555 in p.author_ids)
+    ghost = author_node(555)
+    assert 555 not in corpus.authors
+    assert _seed_row(corpus, Layer.COAUTHORSHIP, ghost, "both") == (
+        "author", {a: 1 for a in paper.author_ids if a != 555})
+    assert _seed_row(corpus, Layer.BIPARTITE_AUTHOR_PAPER, ghost, "both") == (
+        "paper", {paper.paper_id: 1})
+    with pytest.raises(ValueError, match="is not in the graph"):  # uses codes on record only
+        _seed_row(corpus, Layer.AUTHOR_COMMON_PACS, ghost, "both")
+
+
+@pytest.mark.parametrize("layer", [Layer.COAUTHORSHIP, Layer.BIPARTITE_AUTHOR_PAPER,
+                                   Layer.AUTHOR_COMMON_PACS], ids=lambda layer: layer.value)
+def test_seed_row_rejects_an_unknown_author(layer):
+    corpus = messy_corpus()
+    assert not build_layer(corpus, layer).has_node(author_node(556))
+    with pytest.raises(ValueError, match="is not in the graph"):
+        _seed_row(corpus, layer, author_node(556), "both")

@@ -101,7 +101,7 @@ def modularity(graph: Graph, partition: Mapping[NodeRef, int]) -> float:
 
 def canonical_partition(components: list[list[NodeRef]]) -> dict[NodeRef, int]:
     """Dense labels 0..c-1; the community with the smallest node gets 0."""
-    ordered = sorted(components, key=lambda c: min(c).sort_key)
+    ordered = sorted(components, key=min)
     return {node: label for label, members in enumerate(ordered) for node in members}
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import starmap
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 PAPER_ID_RE = re.compile(r"^v(\d+)n(\d+)p(\d+)$")
 PACS_RE = re.compile(r"^\d{2}\.\d{2}\.[0-9A-Za-z+\-]{2}$")
@@ -58,8 +58,7 @@ def normalize_ref_key(raw: str) -> str:
     return " ".join(raw.split()).casefold()
 
 
-@dataclass(frozen=True, order=True)
-class TimeIndex:
+class TimeIndex(NamedTuple):
     """(volume, issue) pair ordered like publication time."""
 
     volume: int

@@ -1,19 +1,21 @@
 """Weighted graph container with typed nodes.
 
-Nodes are (kind, id) pairs so authors, papers, PACS codes and cited works
-can coexist in one structure (the bipartite layers need two kinds at
-once).  Links carry positive integer weights counting multiplicity:
-shared papers, shared codes, co-citations.  Each node's row is one dict
-from neighbour index to weight, its keys in ascending order.  The
-:class:`Graph` constructor is the one place that puts rows in that form:
-builders hand it rows in any key order, and it sorts them and derives a
-directed graph's in-rows.  A graph is immutable once built and every
-accessor returns data in canonical sorted order, so reports and exported
-files are reproducible byte for byte.
+Nodes are (kind, id) named tuples so authors, papers, PACS codes and
+cited works can coexist in one structure (the bipartite layers need two
+kinds at once); they order, hash and compare as that pair, so sorting
+nodes needs no key.  Links carry positive integer weights counting
+multiplicity: shared papers, shared codes, co-citations.  Each node's
+row is one dict from neighbour index to weight, its keys in ascending
+order.  The :class:`Graph` constructor is the one place that puts rows
+in that form: builders hand it rows in any key order, and it sorts them
+and derives a directed graph's in-rows.  A graph is immutable once built
+and every accessor returns data in canonical sorted order, so reports
+and exported files are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -29,28 +31,25 @@ class GraphError(ValueError):
     """Structurally invalid graph input: self-loop, bad weight, bad node."""
 
 
-@dataclass(frozen=True)
-class NodeRef:
-    """Typed node handle.  Author ids are integers, all other ids text."""
+class NodeRef(namedtuple("NodeRef", "kind id")):
+    """Typed node handle: a (kind, id) tuple, checked when built.
 
-    kind: str
-    id: int | str
+    Author ids are integers, all other ids text.  Order, equality and
+    hash are the tuple's, so nodes sort by kind, then id, and
+    ``NodeRef("author", 1) == ("author", 1)``.
+    """
 
-    def __post_init__(self):
-        if self.kind not in NODE_KINDS:
-            raise GraphError(f"unknown node kind {self.kind!r}; expected one of {NODE_KINDS}")
-        if self.kind == AUTHOR:
-            if not isinstance(self.id, int) or isinstance(self.id, bool):
-                raise GraphError(f"author ids are integers, got {self.id!r}")
-        elif not isinstance(self.id, str):
-            raise GraphError(f"{self.kind} ids are text, got {self.id!r}")
+    __slots__ = ()
 
-    @property
-    def sort_key(self) -> tuple:
-        return (self.kind, self.id)
-
-    def __lt__(self, other: "NodeRef"):
-        return self.sort_key < other.sort_key
+    def __new__(cls, kind: str, id: int | str):
+        if kind not in NODE_KINDS:
+            raise GraphError(f"unknown node kind {kind!r}; expected one of {NODE_KINDS}")
+        if kind == AUTHOR:
+            if not isinstance(id, int) or isinstance(id, bool):
+                raise GraphError(f"author ids are integers, got {id!r}")
+        elif not isinstance(id, str):
+            raise GraphError(f"{kind} ids are text, got {id!r}")
+        return super().__new__(cls, kind, id)
 
     def __str__(self):
         return f"{self.kind}:{self.id}"
@@ -224,7 +223,7 @@ def build_graph(
     """
     links = list(links)
     ends = {*isolated_nodes, *(u for u, _, _ in links), *(v for _, v, _ in links)}
-    nodes = sorted(ends, key=lambda node: node.sort_key)
+    nodes = sorted(ends)
     index = {node: i for i, node in enumerate(nodes)}
     arcs: list[dict[int, int]] = [{} for _ in nodes]  # a -> {b: weight of a -> b}
     for u, v, w in links:

@@ -97,8 +97,8 @@ def community_members_csv(members: Sequence[NodeRef]) -> str:
 
 
 def neighborhood_csv(result: NeighborhoodResult) -> str:
-    ordered = sorted(result.members, key=lambda n: (result.members[n], n.sort_key))
-    rows = [(node.id, result.members[node]) for node in ordered]
+    ordered = sorted((d, node) for node, d in result.members.items())
+    rows = [(node.id, d) for d, node in ordered]
     return _csv_text(rows, ["node_id", "distance"])
 
 

@@ -11,7 +11,7 @@ corpus, and build no layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus
 from .graph import Graph, NodeRef, bfs
@@ -54,8 +54,7 @@ class OverlapResult:
     common: frozenset[NodeRef]
 
 
-@dataclass(frozen=True)
-class RelatedItem:
+class RelatedItem(NamedTuple):
     node: NodeRef
     layer_count: int
     weight_sum: int
@@ -86,9 +85,9 @@ def layer_overlap(
     """Nodes directly related to the seed in every one of the given layers."""
     layers = _check_query(seed, tuple(layers), citation_direction)
     rows = {layer: _seed_row(corpus, layer, seed, citation_direction) for layer in layers}
-    keys = {layer: [(kind, x) for x in row] for layer, (kind, row) in rows.items()}
-    nodes = {key: NodeRef(*key) for key in set().union(*keys.values())}
-    per_layer = {layer: frozenset(map(nodes.__getitem__, row)) for layer, row in keys.items()}
+    per_layer = {
+        layer: frozenset(NodeRef(kind, x) for x in row) for layer, (kind, row) in rows.items()
+    }
     common = frozenset.intersection(*per_layer.values())
     return OverlapResult(seed, layers, per_layer, common)
 
@@ -105,7 +104,8 @@ def related_rank(
     the id tie-break makes the order total.
     """
     layers = _check_query(seed, tuple(layers), citation_direction)
-    counts: dict[tuple, int] = {}  # keyed by (kind, id), which sorts as NodeRef.sort_key
+    # keyed by plain (kind, id) tuples, which equal and sort as the NodeRefs they become
+    counts: dict[tuple, int] = {}
     weights: dict[tuple, int] = {}
     for layer in layers:
         kind, row = _seed_row(corpus, layer, seed, citation_direction)

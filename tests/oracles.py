@@ -20,7 +20,7 @@ def dense_edge_aggregation(links, directed):
         if directed:
             key = (u, v)
         else:
-            key = (u, v) if u.sort_key < v.sort_key else (v, u)
+            key = (u, v) if (u.kind, u.id) < (v.kind, v.id) else (v, u)
         weights[key] = weights.get(key, 0) + w
     return weights
 
@@ -28,7 +28,7 @@ def dense_edge_aggregation(links, directed):
 def brute_projection(side_nodes, counterparts_of):
     """All-pairs shared-counterpart counts: {(u, v): count} with u < v."""
     weights = {}
-    for u, v in combinations(sorted(side_nodes), 2):
+    for u, v in combinations(sorted(side_nodes, key=lambda n: (n.kind, n.id)), 2):
         shared = len(counterparts_of[u] & counterparts_of[v])
         if shared:
             weights[(u, v)] = shared
@@ -84,11 +84,11 @@ def enumerate_edge_betweenness(neighbor_sets):
     scores = {}
     for u in nodes:
         for v in neighbor_sets[u]:
-            if u.sort_key < v.sort_key:
+            if (u.kind, u.id) < (v.kind, v.id):
                 scores[(u, v)] = 0.0
 
     def edge(a, b):
-        return (a, b) if a.sort_key < b.sort_key else (b, a)
+        return (a, b) if (a.kind, a.id) < (b.kind, b.id) else (b, a)
 
     for i, s in enumerate(nodes):
         dist = {s: 0}

@@ -1,10 +1,13 @@
-"""Property tests: snapshots, persistence, ingest and Pajek on generated corpora.
+"""Property tests: snapshots, persistence, ingest and Pajek on generated corpora,
+and the order, equality and checks of the node and time-index tuples.
 
 hypothesis is a test-only dependency; without it this module is skipped.
 Runs are derandomized, so every run draws the same examples.
 """
 
+import copy
 import csv
+import pickle
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -30,6 +33,7 @@ from journet.corpus import (  # noqa: E402
     snapshot,
     validate_corpus,
 )
+from journet.graph import AUTHOR, NODE_KINDS, GraphError, NodeRef  # noqa: E402
 from journet.layers import Layer, build_layer  # noqa: E402
 from journet.pajek import export_pajek, parse_pajek  # noqa: E402
 
@@ -191,3 +195,61 @@ def test_pajek_round_trips_adversarial_keys(reference_lists):
     ]
     g = build_layer(Corpus(papers, [AuthorRecord(1, "", frozenset())]), Layer.COCITATION)
     assert parse_pajek(export_pajek(g), kind="reference") == g
+
+
+TEXT_KINDS = [kind for kind in NODE_KINDS if kind != AUTHOR]
+# (kind, id) pairs NodeRef accepts, over all four kinds
+node_pairs = st.tuples(st.just(AUTHOR), st.integers()) | st.tuples(
+    st.sampled_from(TEXT_KINDS), st.text(max_size=4)
+)
+not_text = st.integers() | st.booleans() | st.floats() | st.none() | st.binary(max_size=2)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(node_pairs, max_size=12))
+def test_nodes_order_hash_and_compare_as_their_pairs(pairs):
+    nodes = [NodeRef(kind, x) for kind, x in pairs]
+    assert [(node.kind, node.id) for node in sorted(nodes)] == sorted(pairs)
+    for node, pair in zip(nodes, pairs):
+        assert node == pair and hash(node) == hash(pair)
+        assert [node == other for other in nodes] == [pair == other for other in pairs]
+
+
+@PROPERTY_SETTINGS
+@given(node_pairs)
+def test_node_survives_pickle_and_copy(pair):
+    node = NodeRef(*pair)
+    pickled = [pickle.loads(pickle.dumps(node, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in [*pickled, copy.copy(node), copy.deepcopy(node)]:
+        assert type(back) is NodeRef and back == node and str(back) == str(node)
+
+
+@PROPERTY_SETTINGS
+@given(st.text(max_size=8).filter(lambda kind: kind not in NODE_KINDS), node_pairs)
+def test_node_rejects_unknown_kind(kind, pair):
+    with pytest.raises(GraphError, match="unknown node kind"):
+        NodeRef(kind, pair[1])
+
+
+@PROPERTY_SETTINGS
+@given(st.text(max_size=4) | st.booleans() | st.floats() | st.none())
+def test_node_rejects_author_id_that_is_not_an_integer(author_id):
+    with pytest.raises(GraphError, match="author ids are integers"):
+        NodeRef(AUTHOR, author_id)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(TEXT_KINDS), not_text)
+def test_node_rejects_non_text_id_of_other_kinds(kind, node_id):
+    with pytest.raises(GraphError, match=f"{kind} ids are text"):
+        NodeRef(kind, node_id)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(st.integers(1, 10**4), st.integers(1, 10**4)), max_size=12))
+def test_time_indexes_order_as_volume_then_issue_and_parse_their_text(pairs):
+    times = [TimeIndex(volume, issue) for volume, issue in pairs]
+    assert [(t.volume, t.issue) for t in sorted(times)] == sorted(pairs)
+    for t in times:
+        assert TimeIndex.parse(str(t)) == t

@@ -192,7 +192,7 @@ def test_rank_matches_brute_force_recomputation():
                 count, total = expected.get(v, (0, 0))
                 expected[v] = (count + 1, total + w)
         assert {it.node: (it.layer_count, it.weight_sum) for it in items} == expected
-        keys = [(-it.layer_count, -it.weight_sum, it.node.sort_key) for it in items]
+        keys = [(-it.layer_count, -it.weight_sum, (it.node.kind, it.node.id)) for it in items]
         assert keys == sorted(keys)
 
 
@@ -200,7 +200,7 @@ def test_rank_order_is_total(triple_relation_corpus):
     items = related_rank(
         triple_relation_corpus, paper_node("v4n4p14"), PAPER_LAYERS
     )
-    keys = [(it.layer_count, it.weight_sum, it.node.sort_key) for it in items]
+    keys = [(it.layer_count, it.weight_sum, (it.node.kind, it.node.id)) for it in items]
     assert len(set(keys)) == len(keys)
 
 
@@ -270,7 +270,7 @@ def test_seed_rows_equal_built_rows(corpus_id):
                         totals[v] = (count + 1, weight + w)
                 expected = sorted(
                     (RelatedItem(v, c, w) for v, (c, w) in totals.items()),
-                    key=lambda it: (-it.layer_count, -it.weight_sum, it.node.sort_key),
+                    key=lambda it: (-it.layer_count, -it.weight_sum, (it.node.kind, it.node.id)),
                 )
                 assert related_rank(corpus, seed, combo, direction) == expected
                 overlap = layer_overlap(corpus, seed, combo, direction)

@@ -12,11 +12,10 @@ import csv
 import json
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import starmap
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 PAPER_ID_RE = re.compile(r"^v(\d+)n(\d+)p(\d+)$")
 PACS_RE = re.compile(r"^\d{2}\.\d{2}\.[0-9A-Za-z+\-]{2}$")
@@ -135,17 +134,13 @@ class ValidationReport:
 
 
 class Corpus:
-    """Immutable record store with derived inverted indexes.
+    """Immutable record store: papers, authors and affiliations by id.
 
-    Each index maps a key to the sorted ids of the papers holding it:
-    ``papers_by_author`` an author id, ``papers_by_pacs`` a PACS code,
-    ``citing_by_key`` a cited work's key and ``citing_by_paper`` a cited
-    journal paper's id.  ``authors_by_pacs`` maps a PACS code to the
-    sorted ids of the authors on record who used it.  Each is derived
-    from the records on first read and trusted from then on.  A corpus
-    is never mutated: ingest, load and snapshot each build a new one
-    from its records.  Each layer built from a corpus is kept in it for
-    as long as the corpus lives (see ``layers.build_layer``).
+    A corpus is never mutated: ingest, load and snapshot each build a new
+    one from its records.  Its one private memo holds what ``layers``
+    derives from the records on first use, each relation's two-way index
+    and each built layer, for as long as the corpus lives (see
+    ``layers.build_layer``).
     """
 
     def __init__(
@@ -157,30 +152,7 @@ class Corpus:
         self.papers: dict[str, PaperRecord] = _by_id(papers, "paper")
         self.authors: dict[int, AuthorRecord] = _by_id(authors, "author")
         self.affiliations: dict[int, AffiliationRecord] = _by_id(affiliations, "affiliation")
-        self._layers: dict = {}  # (layer, internal_only) -> Graph, filled by build_layer
-
-    @cached_property
-    def papers_by_author(self) -> dict[int, tuple[str, ...]]:
-        return _index(self.papers, lambda p: p.author_ids)
-
-    @cached_property
-    def papers_by_pacs(self) -> dict[str, tuple[str, ...]]:
-        return _index(self.papers, lambda p: sorted(p.pacs_codes))
-
-    @cached_property
-    def authors_by_pacs(self) -> dict[str, tuple[int, ...]]:
-        return {code: tuple(sorted({a for p in pids for a in self.papers[p].author_ids
-                                    if a in self.authors}))
-                for code, pids in self.papers_by_pacs.items()}
-
-    @cached_property
-    def citing_by_key(self) -> dict[str, tuple[str, ...]]:
-        return _index(self.papers, lambda p: sorted(ref.key for ref in p.reference_keys))
-
-    @cached_property
-    def citing_by_paper(self) -> dict[str, tuple[str, ...]]:
-        return _index(self.papers, lambda p: (
-            ref.internal_paper_id for ref in p.reference_keys if ref.internal_paper_id is not None))
+        self._memo: dict = {}  # filled by layers: each relation's index and each built layer
 
     @property
     def paper_count(self) -> int:
@@ -219,16 +191,6 @@ def _by_id(records: Iterable, kind: str) -> dict:
             raise ValueError(f"duplicate {kind} id {rid}")
         table[rid] = record
     return table
-
-
-def _index(papers: Mapping[str, PaperRecord], keys_of) -> dict:
-    """Map each key of ``keys_of(paper)`` to the sorted ids of its papers,
-    each paper listed once per key even where the paper repeats the key."""
-    index: dict = {}
-    for pid in sorted(papers):
-        for key in dict.fromkeys(keys_of(papers[pid])):
-            index.setdefault(key, []).append(pid)
-    return {key: tuple(pids) for key, pids in index.items()}
 
 
 def validate_corpus(corpus: Corpus) -> ValidationReport:

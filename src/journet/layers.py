@@ -3,21 +3,25 @@
 Every layer is read off one of five relations in the corpus: an author
 wrote a paper, a paper carries a PACS code, a paper cites a work or a
 journal paper, and an author on record uses a code in any of their
-papers.  The bipartite layers and the citation layer hold a relation's
-links as they are.  A one-mode layer keeps one side of a relation and
-links two of its nodes once per node of the other side they share, as
-counted by one pair-count kernel.  :func:`build_layer` builds a whole
-layer; :func:`_seed_row` reads one node's row off the same relation.
-:func:`project_one_mode` counts the same shared neighbours straight off
-the rows of any two-kind graph, such as one read back from Pajek.
+papers.  A relation is the (left id, right id) pairs its records hold,
+which :func:`_ends` indexes both ways once per corpus; every builder
+reads that index.  The bipartite layers and the citation layer hold a
+relation's links as they are.  A one-mode layer keeps one side of a
+relation and links two of its nodes once per node of the other side
+they share, as counted by one pair-count kernel.  :func:`build_layer`
+builds a whole layer; :func:`_seed_row` reads one node's row off the
+same relation.  :func:`project_one_mode` counts the same shared
+neighbours straight off the rows of any two-kind graph, such as one
+read back from Pajek.
 """
 
 from __future__ import annotations
 
-from collections import ChainMap, Counter
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from .corpus import Corpus
@@ -61,47 +65,62 @@ class Layer(Enum):
 class _Relation:
     """Links from left nodes (side 0) to right nodes (side 1).
 
-    ``nodes[s](corpus)`` gives every id on side ``s``, linked or not, as
-    a mapping whose keys are the ids, so a membership test builds nothing;
-    ``ends[s](corpus, x)`` the far end of each link of node ``x`` on side
-    ``s``, each far end once however often the records repeat the link.
+    ``pairs(corpus)`` gives the (left id, right id) pair of every link the
+    records hold, a link as often as the records repeat it; ``keeps[s]``,
+    if given, maps the corpus to the ids side ``s`` holds even without a
+    link.  :func:`_ends` indexes the pairs both ways.
     """
 
     kinds: tuple[str, str]
-    nodes: tuple[Callable, Callable]
-    ends: tuple[Callable, Callable]
+    pairs: Callable[[Corpus], Iterable[tuple]]
+    keeps: tuple[Callable | None, Callable | None]
 
 
-def _cited_papers(corpus: Corpus, pid: str) -> set[str]:
-    return {r.internal_paper_id for r in corpus.papers[pid].reference_keys} - {None}
-
+_AUTHORS, _PAPERS = attrgetter("authors"), attrgetter("papers")
 
 _WROTE = _Relation(
     (AUTHOR, PAPER),
-    (lambda c: ChainMap(c.authors, c.papers_by_author), lambda c: c.papers),
-    (lambda c, a: c.papers_by_author.get(a, ()), lambda c, p: set(c.papers[p].author_ids)),
+    lambda c: ((a, p.paper_id) for p in c.papers.values() for a in p.author_ids),
+    (_AUTHORS, _PAPERS),
 )
 _CARRIES = _Relation(
     (PAPER, PACS),
-    (lambda c: c.papers, lambda c: c.papers_by_pacs),
-    (lambda c, p: c.papers[p].pacs_codes, lambda c, k: c.papers_by_pacs[k]),
+    lambda c: ((p.paper_id, k) for p in c.papers.values() for k in p.pacs_codes),
+    (_PAPERS, None),
 )
 _CITES_WORK = _Relation(
     (PAPER, REFERENCE),
-    (lambda c: c.papers, lambda c: c.citing_by_key),
-    (lambda c, p: {r.key for r in c.papers[p].reference_keys}, lambda c, k: c.citing_by_key[k]),
+    lambda c: ((p.paper_id, r.key) for p in c.papers.values() for r in p.reference_keys),
+    (_PAPERS, None),
 )
 _CITES_PAPER = _Relation(
     (PAPER, PAPER),
-    (lambda c: c.papers, lambda c: c.papers),
-    (_cited_papers, lambda c, q: c.citing_by_paper.get(q, ())),
+    lambda c: ((p.paper_id, r.internal_paper_id) for p in c.papers.values()
+               for r in p.reference_keys if r.internal_paper_id is not None),
+    (_PAPERS, _PAPERS),
 )
-_USES_CODE = _Relation(
+_USES_CODE = _Relation(  # authors on record only
     (AUTHOR, PACS),
-    (lambda c: c.authors, lambda c: c.papers_by_pacs),
-    (lambda c, a: {k for p in c.papers_by_author.get(a, ()) for k in c.papers[p].pacs_codes},
-     lambda c, k: c.authors_by_pacs[k]),
+    lambda c: ((a, k) for p in c.papers.values() for a in p.author_ids if a in c.authors
+               for k in p.pacs_codes),
+    (_AUTHORS, None),
 )
+
+
+def _ends(corpus: Corpus, relation: _Relation) -> tuple[dict, dict]:
+    """A relation's links indexed both ways: for each side, every id the
+    side holds, linked or kept, mapped to a tuple of its far ends, each
+    far end once however often the records repeat the link.  Built on
+    first call and kept in the corpus, like its layers."""
+    if relation not in corpus._memo:
+        index = [{x: {} for x in keep(corpus)} if keep else {} for keep in relation.keeps]
+        left, right = index
+        for x, y in relation.pairs(corpus):
+            left.setdefault(x, {})[y] = None
+            right.setdefault(y, {})[x] = None
+        corpus._memo[relation] = tuple({x: tuple(ys) for x, ys in side.items()} for side in index)
+    return corpus._memo[relation]
+
 
 # Each layer as (relation, side): a one-mode layer keeps that side of the
 # relation; side None keeps the relation's links as the layer.
@@ -134,24 +153,23 @@ def _numbered(kind: str, ids: Iterable, start: int = 0) -> tuple[list[NodeRef], 
 def _link_graph(corpus: Corpus, relation: _Relation, directed: bool) -> Graph:
     """A relation's links as a graph of weight-1 links.
 
-    Every node on either side is kept, linked or not, and so is a far end
-    that its side does not list.  Nodes are sorted by (kind, id), so each
-    kind's ids take one run of indices.  Each left node's row holds its
-    far ends; an undirected graph also gets each link written back into
-    the far end's row.  A link from a node to itself raises GraphError.
+    Every id either side of :func:`_ends` holds is a node, linked or not.
+    Nodes are sorted by (kind, id), so each kind's ids take one run of
+    indices.  Each left node's row holds its far ends; an undirected graph
+    also gets each link written back into the far end's row.  A link from
+    a node to itself raises GraphError.
     """
-    (left, right), ends = relation.kinds, relation.ends[0]
-    far = {x: ends(corpus, x) for x in relation.nodes[0](corpus)}
+    (left, right), (lefts, rights) = relation.kinds, _ends(corpus, relation)
     ids = {left: set(), right: set()}
-    ids[left].update(far)
-    ids[right].update(relation.nodes[1](corpus), *far.values())
+    ids[left].update(lefts)
+    ids[right].update(rights)
     nodes, index = [], {}
     for kind in sorted(ids):
         kind_nodes, index[kind] = _numbered(kind, ids[kind], len(nodes))
         nodes += kind_nodes
     rows: list[dict[int, int]] = [{} for _ in nodes]
     at, to = index[left], index[right]
-    for x, ys in far.items():
+    for x, ys in lefts.items():
         a = at[x]
         row = rows[a] = {to[y]: 1 for y in ys}
         if a in row:
@@ -218,24 +236,24 @@ def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Gr
     links.  The graph is shared, so it must never be mutated.
     """
     key = layer, internal_only and layer is Layer.COCITATION
-    if key not in corpus._layers:
-        corpus._layers[key] = _build(corpus, *key)
-    return corpus._layers[key]
+    if key not in corpus._memo:
+        corpus._memo[key] = _build(corpus, *key)
+    return corpus._memo[key]
 
 
 def _build(corpus: Corpus, layer: Layer, internal_only: bool) -> Graph:
     relation, side = _LAYERS[layer]
     if side is None:
         return _link_graph(corpus, relation, layer.directed)
-    ids = relation.nodes[side](corpus)
-    groups = (relation.ends[1 - side](corpus, g) for g in relation.nodes[1 - side](corpus))
+    ends = _ends(corpus, relation)
+    ids, groups = ends[side], ends[1 - side].values()
     if internal_only:
         keep = {r.key for p in corpus.papers.values() for r in p.reference_keys
                 if r.internal_paper_id is not None}
         ids, groups = ids.keys() & keep, (keep & set(g) for g in groups)
     aux = None
     if layer is Layer.COAUTHORSHIP:
-        aux = {a: len(corpus.papers_by_author.get(a, ())) for a in ids}
+        aux = {a: len(papers) for a, papers in ids.items()}
     return _pair_counts(relation.kinds[side], ids, groups, aux)
 
 
@@ -245,17 +263,18 @@ def _seed_row(corpus: Corpus, layer: Layer, seed: NodeRef, direction: str) -> tu
     holding the seed, or the far ends of its links (``direction`` picks
     citation arcs; both ways add)."""
     relation, side = _LAYERS[layer]
+    ends = _ends(corpus, relation)
     sides = [s for s in (0, 1) if relation.kinds[s] == seed.kind and side in (None, s)]
-    if not any(seed.id in relation.nodes[s](corpus) for s in sides):
+    if not any(seed.id in ends[s] for s in sides):
         raise ValueError(f"seed node {seed} is not in the graph")
     if side is not None:
-        groups = [relation.ends[1 - side](corpus, g) for g in relation.ends[side](corpus, seed.id)]
+        groups = [ends[1 - side][g] for g in ends[side][seed.id]]
         return seed.kind, _co_members(seed.id, groups)
     if layer.directed:
         sides = {"out": [0], "in": [1], "both": [0, 1]}[direction]
     row = Counter()
     for s in sides:
-        row.update(relation.ends[s](corpus, seed.id))
+        row.update(ends[s].get(seed.id, ()))
     return relation.kinds[1 - sides[0]], row
 
 

@@ -19,10 +19,9 @@ from journet.corpus import (
     snapshot,
     validate_corpus,
 )
-from journet.layers import Layer, build_layer
+from journet.layers import _LAYERS, Layer, _ends
 
 from conftest import make_authors, make_paper, random_corpus
-from test_retrieval import messy_corpus
 
 PAPERS = """\
 paper_id,title,volume,issue,year,pacs
@@ -185,15 +184,6 @@ def test_ingest_row_order_invariant(tmp_path):
     assert base == again
 
 
-def test_author_index_matches_linear_scan():
-    corpus = random_corpus(random.Random(1))
-    for aid in corpus.authors:
-        expected = sorted(
-            pid for pid, p in corpus.papers.items() if aid in p.author_ids
-        )
-        assert list(corpus.papers_by_author.get(aid, ())) == expected
-
-
 @pytest.mark.parametrize("kind", ["paper", "author", "affiliation"])
 def test_corpus_rejects_duplicate_id(kind):
     tables = {
@@ -242,7 +232,7 @@ def test_validate_matches_brute_force_cross_reference():
     rng = random.Random(9)
     corpus = random_corpus(rng)
     # knock out one author record; exactly that author's papers must complain
-    victim = rng.choice(sorted(corpus.papers_by_author))
+    victim = rng.choice(sorted({a for p in corpus.papers.values() for a in p.author_ids}))
     broken = Corpus(
         corpus.papers.values(),
         [a for a in corpus.authors.values() if a.author_id != victim],
@@ -318,8 +308,13 @@ def test_round_trip_random(tmp_path):
     persist_corpus(corpus, path)
     loaded = load_corpus(path)
     assert loaded == corpus
-    assert loaded.papers_by_author == corpus.papers_by_author
-    assert loaded.citing_by_key == corpus.citing_by_key
+    assert record_links(loaded) == record_links(corpus)
+
+
+def record_links(corpus):
+    """Every author-paper and citing paper-key link the records hold, sorted."""
+    return (sorted((a, pid) for pid, p in corpus.papers.items() for a in p.author_ids),
+            sorted((pid, r.key) for pid, p in corpus.papers.items() for r in p.reference_keys))
 
 
 def test_persist_is_deterministic(tmp_path):
@@ -414,62 +409,6 @@ def test_load_rejects_record_with_unknown_field(tmp_path, kind):
         load_corpus(path)
 
 
-def citing_scan(corpus):
-    """Cited paper id -> sorted ids of the papers citing it, from every reference list."""
-    index = {}
-    for pid in sorted(corpus.papers):
-        for cited in {r.internal_paper_id for r in corpus.papers[pid].reference_keys} - {None}:
-            index.setdefault(cited, []).append(pid)
-    return {cited: tuple(pids) for cited, pids in index.items()}
-
-
-INDEXES = ("papers_by_author", "papers_by_pacs", "citing_by_key", "citing_by_paper",
-           "authors_by_pacs")
-
-
-def built_indexes(corpus):
-    return [name for name in INDEXES if name in vars(corpus)]
-
-
-@pytest.mark.parametrize("seed", [5, 6, 7])
-def test_citing_index_matches_reference_scan(seed, tmp_path):
-    corpus = random_corpus(random.Random(seed))
-    assert corpus.citing_by_paper == citing_scan(corpus)
-    for as_of in corpus.time_indexes():
-        snap = snapshot(corpus, as_of)
-        assert built_indexes(snap) == []  # each built on first read only
-        assert snap.citing_by_paper == citing_scan(snap)
-    messy = messy_corpus()
-    assert messy.citing_by_paper == citing_scan(messy)
-    persist_corpus(corpus, tmp_path / "c.corpus")
-    assert built_indexes(load_corpus(tmp_path / "c.corpus")) == []
-    assert built_indexes(ingest(tmp_path)) == []
-    fresh = random_corpus(random.Random(seed))
-    build_layer(fresh, Layer.COAUTHORSHIP)
-    assert built_indexes(fresh) == ["papers_by_author"]
-    fresh = random_corpus(random.Random(seed))
-    build_layer(fresh, Layer.AUTHOR_COMMON_PACS)
-    assert built_indexes(fresh) == ["papers_by_pacs", "authors_by_pacs"]
-
-
-def authors_by_pacs_scan(corpus):
-    """PACS code -> sorted ids of the authors on record of the papers carrying it."""
-    index = {code: set() for p in corpus.papers.values() for code in p.pacs_codes}
-    for p in corpus.papers.values():
-        for code in p.pacs_codes:
-            index[code].update(a for a in p.author_ids if a in corpus.authors)
-    return {code: tuple(sorted(authors)) for code, authors in index.items()}
-
-
-@pytest.mark.parametrize("corpus_id", ["random-5", "random-6", "random-7", "messy"])
-def test_authors_by_pacs_matches_scan(corpus_id):
-    if corpus_id == "messy":  # repeats an author on a paper and names one without a record
-        corpus = messy_corpus()
-    else:
-        corpus = random_corpus(random.Random(int(corpus_id.split("-")[1])))
-    assert corpus.authors_by_pacs == authors_by_pacs_scan(corpus)
-
-
 def test_authors_by_pacs_lists_authors_on_record_once():
     corpus = Corpus(
         [make_paper("v1n1p1", [2, 1, 2, 9], pacs=["01.10.Aa", "02.20.Bb"]),
@@ -477,7 +416,10 @@ def test_authors_by_pacs_lists_authors_on_record_once():
          make_paper("v1n2p1", [3, 1], pacs=["01.10.Aa"])],
         make_authors([1, 2, 3]),
     )
-    assert corpus.authors_by_pacs == {"01.10.Aa": (1, 2, 3), "02.20.Bb": (1, 2), "03.30.Cc": ()}
+    by_code = _ends(corpus, _LAYERS[Layer.AUTHOR_COMMON_PACS][0])[1]
+    assert {code: sorted(authors) for code, authors in by_code.items()} == {
+        "01.10.Aa": [1, 2, 3], "02.20.Bb": [1, 2]}
+    assert all(len(authors) == len(set(authors)) for authors in by_code.values())
 
 
 def test_citing_index_lists_a_paper_once_per_cited_paper():
@@ -486,4 +428,5 @@ def test_citing_index_lists_a_paper_once_per_cited_paper():
          make_paper("v1n2p1", [1], refs=[("a", "v1n1p1"), ("b", "v1n1p1"), "c"])],
         make_authors([1]),
     )
-    assert corpus.citing_by_paper == {"v1n1p1": ("v1n2p1",)}
+    ends = _ends(corpus, _LAYERS[Layer.PAPER_CITATION][0])
+    assert ends == ({"v1n1p1": (), "v1n2p1": ("v1n1p1",)}, {"v1n1p1": ("v1n2p1",), "v1n2p1": ()})

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from journet.communities import edge_betweenness, girvan_newman
-from journet.corpus import Corpus, load_corpus, persist_corpus, snapshot
+from journet.corpus import Corpus, load_corpus, persist_corpus, snapshot, validate_corpus
 from journet.graph import (
     GraphError,
     NodeRef,
@@ -19,6 +19,8 @@ from journet.graph import (
 from journet.layers import (
     _LAYERS,
     Layer,
+    _ends,
+    _Relation,
     build_layer,
     is_bipartite_between,
     layer_from_token,
@@ -31,6 +33,7 @@ from journet.retrieval import DIRECTIONS, neighborhood, related_rank
 
 from conftest import make_authors, make_paper, random_corpus
 from oracles import brute_projection
+from test_corpus import ingest
 from test_graph import assert_rows_ascending
 from test_retrieval import messy_corpus
 
@@ -218,7 +221,7 @@ def test_projection_agrees_with_raw_records():
     corpus = random_corpus(random.Random(31))
     g = build_layer(corpus, Layer.COAUTHORSHIP)
     for u, v, w in g.links():
-        shared = set(corpus.papers_by_author[u.id]) & set(corpus.papers_by_author[v.id])
+        shared = [p for p in corpus.papers.values() if {u.id, v.id} <= set(p.author_ids)]
         assert w == len(shared) and w >= 1
 
 
@@ -331,7 +334,8 @@ def test_repeated_author_counts_once_in_indexes_links_and_aux():
     # Corpus() accepts a repeated author and an author without a record.
     papers = [make_paper("v1n1p1", [10, 10, 11]), make_paper("v1n1p2", [10, 12])]
     corpus = Corpus(papers, make_authors([10, 11]))
-    assert corpus.papers_by_author == {10: ("v1n1p1", "v1n1p2"), 11: ("v1n1p1",), 12: ("v1n1p2",)}
+    wrote = _LAYERS[Layer.COAUTHORSHIP][0]
+    assert _ends(corpus, wrote)[0] == {10: ("v1n1p1", "v1n1p2"), 11: ("v1n1p1",), 12: ("v1n1p2",)}
     g = build_layer(corpus, Layer.COAUTHORSHIP)
     assert {node.id: count for node, count in g.aux_counts.items()} == {10: 2, 11: 1, 12: 1}
     assert [(row.node.id, row.aux_count) for row in adjacency_rows(g)] == [(10, 2), (11, 1), (12, 1)]
@@ -346,14 +350,39 @@ def test_repeated_author_counts_once_in_indexes_links_and_aux():
 LINK_LAYERS = [layer for layer in Layer if _LAYERS[layer][1] is None]
 
 
+def relation_scan(corpus):
+    """Each relation's links, as a set of (left id, right id) pairs, and
+    the ids each side lists with or without a link, read off the records
+    and keyed by the relation's two node kinds."""
+    papers, authors, pids = corpus.papers.values(), set(corpus.authors), set(corpus.papers)
+    return {
+        ("author", "paper"): ({(a, p.paper_id) for p in papers for a in p.author_ids}, authors, pids),
+        ("paper", "pacs"): ({(p.paper_id, k) for p in papers for k in p.pacs_codes}, pids, set()),
+        ("paper", "reference"): (
+            {(p.paper_id, r.key) for p in papers for r in p.reference_keys}, pids, set()),
+        ("paper", "paper"): ({(p.paper_id, r.internal_paper_id) for p in papers
+                              for r in p.reference_keys if r.internal_paper_id is not None},
+                             pids, pids),
+        ("author", "pacs"): ({(a, k) for p in papers for a in p.author_ids if a in authors
+                              for k in p.pacs_codes}, authors, set()),
+    }
+
+
+LINK_KINDS = {
+    Layer.PAPER_CITATION: ("paper", "paper"),
+    Layer.BIPARTITE_AUTHOR_PAPER: ("author", "paper"),
+    Layer.BIPARTITE_PAPER_PACS: ("paper", "pacs"),
+    Layer.BIPARTITE_PAPER_REFERENCE: ("paper", "reference"),
+}
+
+
 def noderef_link_graph(corpus, layer):
     """A link layer as it was built before integer rows: one weight-1
-    NodeRef link per far end, aggregated by build_graph."""
-    relation, _ = _LAYERS[layer]
-    (left, right), ends = relation.kinds, relation.ends[0]
-    lefts, rights = relation.nodes[0](corpus), relation.nodes[1](corpus)
-    links = [(NodeRef(left, x), NodeRef(right, y), 1) for x in lefts for y in ends(corpus, x)]
+    NodeRef link per linked pair of the records, aggregated by build_graph."""
+    left, right = LINK_KINDS[layer]
+    links, lefts, rights = relation_scan(corpus)[left, right]
     nodes = [NodeRef(left, x) for x in lefts] + [NodeRef(right, y) for y in rights]
+    links = [(NodeRef(left, x), NodeRef(right, y), 1) for x, y in links]
     return build_graph(layer.directed, links, isolated_nodes=nodes)
 
 
@@ -366,15 +395,31 @@ def authorless_corpus():
     return Corpus(papers, corpus.authors.values())
 
 
-@pytest.mark.parametrize("corpus_id", ["random-61", "random-62", "random-63", "messy", "authorless"])
+def repeated_key_corpus():
+    """A random journal where one paper lists a cited journal paper twice
+    under one key, as a copied reference does."""
+    corpus = random_corpus(random.Random(65))
+    papers = [corpus.papers[pid] for pid in sorted(corpus.papers)]
+    i, ref = next((i, r) for i, p in enumerate(papers) for r in p.reference_keys
+                  if r.internal_paper_id is not None)
+    papers[i] = dataclasses.replace(papers[i], reference_keys=papers[i].reference_keys + (ref,))
+    return Corpus(papers, corpus.authors.values())
+
+
+def named_corpus(corpus_id):
+    """A test journal by name: "random-<seed>", "messy", "authorless" or "repeated-key"."""
+    named = {"messy": messy_corpus, "authorless": authorless_corpus,
+             "repeated-key": repeated_key_corpus}
+    if corpus_id in named:
+        return named[corpus_id]()
+    return random_corpus(random.Random(int(corpus_id.split("-")[1])))
+
+
+@pytest.mark.parametrize("corpus_id", ["random-61", "random-62", "random-63", "messy", "authorless",
+                                       "repeated-key"])
 @pytest.mark.parametrize("layer", LINK_LAYERS, ids=lambda layer: layer.value)
 def test_link_layer_matches_noderef_route(layer, corpus_id):
-    if corpus_id == "messy":
-        corpus = messy_corpus()
-    elif corpus_id == "authorless":
-        corpus = authorless_corpus()
-    else:
-        corpus = random_corpus(random.Random(int(corpus_id.split("-")[1])))
+    corpus = named_corpus(corpus_id)
     g = build_layer(corpus, layer)
     expected = noderef_link_graph(corpus, layer)
     assert g == expected
@@ -383,17 +428,51 @@ def test_link_layer_matches_noderef_route(layer, corpus_id):
     assert_rows_ascending(g)
 
 
-@pytest.mark.parametrize("corpus_id", ["random-71", "random-72", "random-73", "messy"])
-def test_relation_ends_list_each_far_end_once(corpus_id):
-    if corpus_id == "messy":  # repeats an author on a paper
-        corpus = messy_corpus()
-    else:
-        corpus = random_corpus(random.Random(int(corpus_id.split("-")[1])))
-    for relation in dict.fromkeys(relation for relation, _ in _LAYERS.values()):
+def indexed(corpus):
+    """The relations whose index the corpus holds."""
+    return [key for key in corpus._memo if isinstance(key, _Relation)]
+
+
+@pytest.mark.parametrize("corpus_id", ["random-71", "random-72", "random-73", "messy", "authorless",
+                                       "repeated-key"])
+def test_relation_ends_list_each_far_end_once(corpus_id, tmp_path):
+    corpus = named_corpus(corpus_id)
+    assert indexed(corpus) == []
+    assert_ends_match_scan(corpus)
+
+    # ingest, load and snapshot index nothing; a layer indexes its own relation only
+    made = [ingest(tmp_path)]
+    if validate_corpus(corpus).ok:
+        persist_corpus(corpus, tmp_path / "c.corpus")
+        made.append(load_corpus(tmp_path / "c.corpus"))
+        made += [snapshot(corpus, as_of) for as_of in corpus.time_indexes()]
+    for c in made:
+        assert indexed(c) == []
+        assert_ends_match_scan(c)
+    fresh = Corpus(corpus.papers.values(), corpus.authors.values())
+    build_layer(fresh, Layer.COAUTHORSHIP)
+    assert indexed(fresh) == [_LAYERS[Layer.COAUTHORSHIP][0]]
+
+
+def assert_ends_match_scan(corpus):
+    """Every relation's index, both ways, against a scan of the records:
+    each id the side lists or links, each far end once, and a listed id
+    without links with no ends; built once and then kept."""
+    relations = list(dict.fromkeys(relation for relation, _ in _LAYERS.values()))
+    scan = relation_scan(corpus)
+    assert sorted(relation.kinds for relation in relations) == sorted(scan)
+    for relation in relations:
+        links, *listed = scan[relation.kinds]
+        index = _ends(corpus, relation)
+        assert _ends(corpus, relation) is index
         for side in (0, 1):
-            for x in relation.nodes[side](corpus):
-                ends = list(relation.ends[side](corpus, x))
-                assert len(ends) == len(set(ends)), (relation.kinds, side, x)
+            expected = {x: set() for x in listed[side]}
+            for link in links:
+                expected.setdefault(link[side], set()).add(link[1 - side])
+            assert {x: set(ends) for x, ends in index[side].items()} == expected
+            for x, ends in index[side].items():
+                assert type(ends) is tuple and len(ends) == len(set(ends)), (relation.kinds, side, x)
+    assert indexed(corpus) == relations
 
 
 def test_messy_citation_layer_keeps_the_dangling_target():

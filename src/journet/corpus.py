@@ -37,7 +37,7 @@ class CorpusFormatError(ValueError):
 
 def parse_paper_id(paper_id: str) -> tuple[int, int, int]:
     """Split a canonical paper id into (volume, issue, seq) or raise ValueError."""
-    m = PAPER_ID_RE.match(paper_id)
+    m = isinstance(paper_id, str) and PAPER_ID_RE.match(paper_id)
     if not m:
         raise ValueError(f"paper id {paper_id!r} does not match v<vol>n<issue>p<seq>")
     volume, issue, seq = (int(g) for g in m.groups())
@@ -49,7 +49,7 @@ def parse_paper_id(paper_id: str) -> tuple[int, int, int]:
 
 
 def is_valid_pacs(code: str) -> bool:
-    return bool(PACS_RE.match(code))
+    return isinstance(code, str) and bool(PACS_RE.match(code))
 
 
 def normalize_ref_key(raw: str) -> str:
@@ -196,14 +196,24 @@ def _by_id(records: Iterable, kind: str) -> dict:
 def validate_corpus(corpus: Corpus) -> ValidationReport:
     """List every invariant violation; an empty report means the corpus is valid.
 
-    Read-only: violations are data, not exceptions.
+    Read-only: violations are data, not exceptions.  An id or key of the
+    wrong type, as a hand-edited corpus file may hold, is a violation too.
     """
     out: list[Violation] = []
 
     def bad(kind, subject, message):
         out.append(Violation(kind, str(subject), message))
 
-    for pid in sorted(corpus.papers):
+    # Author records first: a paper's author whose record has an id of the
+    # wrong type would otherwise first show as a dangling author.
+    for aid in _sorted(corpus.authors):
+        if type(aid) is not int:
+            bad("bad-author-id", aid, f"author id {aid!r} is not an integer")
+        for fid in _sorted(corpus.authors[aid].affiliation_ids):
+            if fid not in corpus.affiliations:
+                bad("dangling-affiliation", aid, f"affiliation {fid} has no record")
+
+    for pid in _sorted(corpus.papers):
         paper = corpus.papers[pid]
         try:
             vol, iss, _ = parse_paper_id(pid)
@@ -220,23 +230,32 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             seen.add(aid)
             if aid not in corpus.authors:
                 bad("dangling-author", pid, f"author {aid} has no record")
-        for code in sorted(paper.pacs_codes):
+        for code in _sorted(paper.pacs_codes):
             if not is_valid_pacs(code):
                 bad("bad-pacs", pid, f"PACS code {code!r} is not NN.NN.xx")
+        keys: set[str] = set()
         for ref in paper.reference_keys:
-            if not ref.key:
+            if not isinstance(ref.key, str):
+                bad("bad-ref-key", pid, f"reference key {ref.key!r} is not text")
+            elif not ref.key:
                 bad("empty-ref-key", pid, "reference with empty key")
+            elif ref.key in keys:
+                bad("duplicate-ref-key", pid, f"reference key {ref.key!r} listed twice")
+            keys.add(ref.key)
             if ref.internal_paper_id is not None:
                 if ref.internal_paper_id not in corpus.papers:
                     bad("dangling-internal-ref", pid, f"cited paper {ref.internal_paper_id} has no record")
                 elif ref.internal_paper_id == pid:
                     bad("self-citation", pid, "paper cites itself by id")
-
-    for aid in sorted(corpus.authors):
-        for fid in sorted(corpus.authors[aid].affiliation_ids):
-            if fid not in corpus.affiliations:
-                bad("dangling-affiliation", aid, f"affiliation {fid} has no record")
     return ValidationReport(out)
+
+
+def _sorted(ids: Iterable) -> list:
+    """Ids sorted, each type apart where they are of more than one type."""
+    try:
+        return sorted(ids)
+    except TypeError:  # an id of the wrong type, as a hand-edited corpus file may hold
+        return sorted(ids, key=lambda x: (type(x).__name__, x))
 
 
 # -- CSV ingestion ----------------------------------------------------------
@@ -543,9 +562,9 @@ def load_corpus(path) -> Corpus:
         authors = _reader(AuthorRecord, affiliation_ids=frozenset)(payload["authors"])
         affiliations = _reader(AffiliationRecord)(payload["affiliations"])
         corpus = Corpus(papers, authors, affiliations)
+        report = validate_corpus(corpus)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"corrupt corpus file: {exc}") from exc
-    report = validate_corpus(corpus)
     if not report.ok:
         first = report.violations[0]
         raise CorpusFormatError(

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from journet.corpus import (
     snapshot,
     validate_corpus,
 )
+from journet.cli import main
 from journet.layers import _LAYERS, Layer, _ends
 
 from conftest import make_authors, make_paper, random_corpus
@@ -406,6 +408,44 @@ def test_load_rejects_record_with_unknown_field(tmp_path, kind):
     RECORD_OBJECTS[kind](payload)["note"] = "not a field"
     path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="corrupt"):
+        load_corpus(path)
+
+
+# A field of the wrong JSON type in a hand-edited file, and the violation naming its record.
+WRONG_TYPES = {
+    "paper-id": (lambda payload: payload["papers"][0].update(paper_id=5),
+                 "bad-paper-id [5]: paper id 5 does not match"),
+    "pacs-code": (lambda payload: payload["papers"][0].update(pacs_codes=["05.50.+q", 5]),
+                  "bad-pacs [v1n1p1]: PACS code 5 is not NN.NN.xx"),
+    "author-id": (lambda payload: payload["authors"][0].update(author_id="x"),
+                  "bad-author-id [x]: author id 'x' is not an integer"),
+    "ref-key": (lambda payload: payload["papers"][1]["reference_keys"][0].update(key=5),
+                "bad-ref-key [v1n2p1]: reference key 5 is not text"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPES)
+def test_load_rejects_field_of_wrong_type(tmp_path, capsys, case):
+    edit, message = WRONG_TYPES[case]
+    path, header, payload = persisted_payload(tmp_path)
+    edit(payload)
+    path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=re.escape(f"fails validation: {message}")):
+        load_corpus(path)
+    assert main(["stats", "--corpus", str(path), "--layer", "coauthorship"]) == 2
+    assert capsys.readouterr().err.startswith(f"journet: error: corpus file fails validation: {message}")
+
+
+def test_validate_flags_duplicate_ref_key(tmp_path):
+    paper = make_paper("v1n1p1", [10], refs=["cited work", "cited work", "other work"])
+    report = validate_corpus(Corpus([paper], make_authors([10])))
+    assert [(v.kind, v.subject, v.message) for v in report.violations] == [
+        ("duplicate-ref-key", "v1n1p1", "reference key 'cited work' listed twice")]
+    path, header, payload = persisted_payload(tmp_path)
+    refs = payload["papers"][1]["reference_keys"]
+    refs.append(dict(refs[0]))  # a copied reference
+    path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=r"duplicate-ref-key \[v1n2p1\]"):
         load_corpus(path)
 
 

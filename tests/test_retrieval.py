@@ -5,9 +5,9 @@ from itertools import combinations, permutations
 import pytest
 
 from journet.corpus import Corpus, ReferenceKey
-from journet.graph import NODE_KINDS, author_node, build_graph, paper_node
+from journet.graph import NODE_KINDS, NodeRef, author_node, build_graph, paper_node
 from journet.layers import Layer, _seed_row, build_layer
-from journet.retrieval import RelatedItem, layer_overlap, neighborhood, related_rank
+from journet.retrieval import DIRECTIONS, RelatedItem, layer_overlap, neighborhood, related_rank
 
 from conftest import make_authors, make_paper, random_corpus, random_graph
 from oracles import floyd_warshall
@@ -294,6 +294,17 @@ def test_seed_row_finds_an_author_without_a_record():
         "paper", {paper.paper_id: 1})
     with pytest.raises(ValueError, match="is not in the graph"):  # uses codes on record only
         _seed_row(corpus, Layer.AUTHOR_COMMON_PACS, ghost, "both")
+
+
+def test_seed_row_of_a_dangling_cited_paper_equals_its_built_row():
+    corpus = messy_corpus()  # one paper cites v9n9p9, which has no record
+    lost = paper_node("v9n9p9")
+    graph = build_layer(corpus, Layer.PAPER_CITATION)
+    assert "v9n9p9" not in corpus.papers and graph.has_node(lost)
+    for direction in DIRECTIONS:
+        kind, row = _seed_row(corpus, Layer.PAPER_CITATION, lost, direction)
+        assert {NodeRef(kind, x): w for x, w in row.items()} == built_row(graph, lost, direction)
+    assert _seed_row(corpus, Layer.PAPER_CITATION, lost, "in")[1]
 
 
 @pytest.mark.parametrize("layer", [Layer.COAUTHORSHIP, Layer.BIPARTITE_AUTHOR_PAPER,

@@ -17,7 +17,7 @@ read back from Pajek.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -113,11 +113,12 @@ def _ends(corpus: Corpus, relation: _Relation) -> tuple[dict, dict]:
     far end once however often the records repeat the link.  Built on
     first call and kept in the corpus, like its layers."""
     if relation not in corpus._memo:
-        index = [{x: {} for x in keep(corpus)} if keep else {} for keep in relation.keeps]
+        index = [defaultdict(dict, {x: {} for x in keep(corpus)} if keep else ())
+                 for keep in relation.keeps]
         left, right = index
         for x, y in relation.pairs(corpus):
-            left.setdefault(x, {})[y] = None
-            right.setdefault(y, {})[x] = None
+            left[x][y] = None
+            right[y][x] = None
         corpus._memo[relation] = tuple({x: tuple(ys) for x, ys in side.items()} for side in index)
     return corpus._memo[relation]
 

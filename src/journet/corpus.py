@@ -204,8 +204,7 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     def bad(kind, subject, message):
         out.append(Violation(kind, str(subject), message))
 
-    # Author records first: a paper's author whose record has an id of the
-    # wrong type would otherwise first show as a dangling author.
+    # Authors first: a wrong-typed author id also leaves its papers' authors dangling.
     for aid in _sorted(corpus.authors):
         if type(aid) is not int:
             bad("bad-author-id", aid, f"author id {aid!r} is not an integer")

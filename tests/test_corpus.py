@@ -142,6 +142,45 @@ def test_ingest_self_citation_fatal(tmp_path):
         ingest(tmp_path, references=bad)
 
 
+# One broken record per record rule, as CSV edits of the fixture: the table
+# edits, the "file:line" of the row that breaks the rule, and the offending
+# id, code or key that the problem must name.
+RULE_CASES = {
+    "paper-id-shape": (
+        dict(papers=PAPERS.replace("v1n2p1", "v1n2p01"),
+             authorship=AUTHORSHIP.replace("v1n2p1", "v1n2p01"),
+             references=REFERENCES.replace("v1n2p1", "v1n2p01")),
+        "papers.csv:3", "v1n2p01"),
+    "paper-id-columns": (
+        dict(papers=PAPERS.replace("v1n2p1,Second,1,2", "v1n2p1,Second,2,2")),
+        "papers.csv:3", "v1n2p1"),
+    "pacs-shape": (dict(papers=PAPERS.replace("05.50.+q", "5.50.+q")), "papers.csv:2", "5.50.+q"),
+    "dangling-author": (dict(authorship=AUTHORSHIP + "v1n2p1,999,3\n"), "authorship.csv:6", "999"),
+    "author-twice": (dict(authorship=AUTHORSHIP + "v1n2p1,11,3\n"), "authorship.csv:6", "11"),
+    "no-authors": (
+        dict(authorship=AUTHORSHIP.replace("v1n2p1,11,1\nv1n2p1,12,2\n", "")),
+        "papers.csv:3", "v1n2p1"),
+    "empty-key": (dict(references=REFERENCES + 'v1n1p1,"  ",\n'), "references.csv:4", ""),
+    "repeated-key": (dict(references=REFERENCES + "v1n2p1,Another  Work,\n"),
+                     "references.csv:4", "another work"),
+    "dangling-cited-paper": (dict(references=REFERENCES + "v1n2p1,ghost,v9n9p9\n"),
+                             "references.csv:4", "v9n9p9"),
+    "self-citation": (dict(references=REFERENCES + "v1n1p1,loop,v1n1p1\n"),
+                      "references.csv:4", "v1n1p1"),
+    "dangling-affiliation": (dict(authors=AUTHORS.replace("12,Cid,", "12,Cid,3")),
+                             "authors.csv:4", "3"),
+}
+
+
+@pytest.mark.parametrize("case", RULE_CASES)
+def test_ingest_names_row_of_each_broken_rule(tmp_path, case):
+    edits, where, item = RULE_CASES[case]
+    with pytest.raises(IngestError) as info:
+        ingest(tmp_path, **edits)
+    assert any(p.startswith(f"{where}: ") and item in p for p in info.value.problems), \
+        info.value.problems
+
+
 def test_ingest_wrong_header_fatal(tmp_path):
     bad = PAPERS.replace("paper_id,title", "id,title")
     with pytest.raises(IngestError, match=r"papers\.csv:1.*header"):

@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from itertools import starmap
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -46,10 +46,6 @@ def parse_paper_id(paper_id: str) -> tuple[int, int, int]:
     if volume < 1 or issue < 1:
         raise ValueError(f"paper id {paper_id!r} has a non-positive volume or issue")
     return volume, issue, seq
-
-
-def is_valid_pacs(code: str) -> bool:
-    return isinstance(code, str) and bool(PACS_RE.match(code))
 
 
 def normalize_ref_key(raw: str) -> str:
@@ -116,9 +112,15 @@ class AffiliationRecord:
 
 @dataclass(frozen=True)
 class Violation:
+    """One broken record rule.  ``subject`` is the id of the record that
+    breaks it; ``item`` is the offending author id, PACS code, reference
+    key or affiliation id inside that record, or None when the rule is
+    about the record itself.  Ingest uses the pair to find the CSV row."""
+
     kind: str
     subject: str
     message: str
+    item: object = None
 
 
 @dataclass
@@ -196,28 +198,51 @@ def _by_id(records: Iterable, kind: str) -> dict:
 def validate_corpus(corpus: Corpus) -> ValidationReport:
     """List every invariant violation; an empty report means the corpus is valid.
 
-    Read-only: violations are data, not exceptions.  An id or key of the
-    wrong type, as a hand-edited corpus file may hold, is a violation too.
+    Read-only: violations are data, not exceptions.  This is the one
+    statement of the record rules, for ingest and load alike.  A field of
+    the wrong type, as a hand-edited corpus file may hold, is a violation
+    too, naming its record.
     """
     out: list[Violation] = []
 
-    def bad(kind, subject, message):
-        out.append(Violation(kind, str(subject), message))
+    def bad(kind, subject, message, item=None):
+        out.append(Violation(kind, str(subject), message, item))
 
-    # Authors first: a wrong-typed author id also leaves its papers' authors dangling.
+    for fid in _sorted(corpus.affiliations):
+        affiliation = corpus.affiliations[fid]
+        if type(fid) is not int:
+            bad("bad-affiliation-id", fid, f"affiliation id {fid!r} is not an integer")
+        if type(affiliation.name) is not str:
+            bad("bad-field", fid, f"affiliation name {affiliation.name!r} is not text")
+        if affiliation.country is not None and type(affiliation.country) is not str:
+            bad("bad-field", fid, f"country {affiliation.country!r} is not text")
+
+    # Authors before papers: a wrong-typed author id also leaves its papers' authors dangling.
     for aid in _sorted(corpus.authors):
+        author = corpus.authors[aid]
         if type(aid) is not int:
             bad("bad-author-id", aid, f"author id {aid!r} is not an integer")
-        for fid in _sorted(corpus.authors[aid].affiliation_ids):
+        if type(author.name) is not str:
+            bad("bad-field", aid, f"name {author.name!r} is not text")
+        for fid in _sorted(author.affiliation_ids):
             if fid not in corpus.affiliations:
-                bad("dangling-affiliation", aid, f"affiliation {fid} has no record")
+                bad("dangling-affiliation", aid, f"affiliation {fid} has no record", fid)
 
     for pid in _sorted(corpus.papers):
         paper = corpus.papers[pid]
+        if type(paper.title) is not str:
+            bad("bad-field", pid, f"title {paper.title!r} is not text")
+        if type(paper.volume) is not int:
+            bad("bad-field", pid, f"volume {paper.volume!r} is not an integer")
+        if type(paper.issue) is not int:
+            bad("bad-field", pid, f"issue {paper.issue!r} is not an integer")
+        if paper.year is not None and type(paper.year) is not int:
+            bad("bad-field", pid, f"year {paper.year!r} is not an integer")
         try:
             vol, iss, _ = parse_paper_id(pid)
             if (vol, iss) != (paper.volume, paper.issue):
-                bad("bad-paper-id", pid, f"id encodes v{vol}n{iss} but record says v{paper.volume}n{paper.issue}")
+                bad("bad-paper-id", pid, f"id encodes volume {vol}, issue {iss} but record"
+                                         f" says volume {paper.volume!r}, issue {paper.issue!r}")
         except ValueError as exc:
             bad("bad-paper-id", pid, str(exc))
         if not paper.author_ids:
@@ -225,27 +250,28 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
         seen: set[int] = set()
         for aid in paper.author_ids:
             if aid in seen:
-                bad("duplicate-author", pid, f"author {aid} listed twice")
+                bad("duplicate-author", pid, f"author {aid} listed twice", aid)
             seen.add(aid)
             if aid not in corpus.authors:
-                bad("dangling-author", pid, f"author {aid} has no record")
+                bad("dangling-author", pid, f"author {aid} has no record", aid)
         for code in _sorted(paper.pacs_codes):
-            if not is_valid_pacs(code):
-                bad("bad-pacs", pid, f"PACS code {code!r} is not NN.NN.xx")
+            if not (isinstance(code, str) and PACS_RE.match(code)):
+                bad("bad-pacs", pid, f"PACS code {code!r} is not NN.NN.xx", code)
         keys: set[str] = set()
         for ref in paper.reference_keys:
             if not isinstance(ref.key, str):
-                bad("bad-ref-key", pid, f"reference key {ref.key!r} is not text")
+                bad("bad-ref-key", pid, f"reference key {ref.key!r} is not text", ref.key)
             elif not ref.key:
-                bad("empty-ref-key", pid, "reference with empty key")
+                bad("empty-ref-key", pid, "reference with empty key", ref.key)
             elif ref.key in keys:
-                bad("duplicate-ref-key", pid, f"reference key {ref.key!r} listed twice")
+                bad("duplicate-ref-key", pid, f"reference key {ref.key!r} listed twice", ref.key)
             keys.add(ref.key)
             if ref.internal_paper_id is not None:
                 if ref.internal_paper_id not in corpus.papers:
-                    bad("dangling-internal-ref", pid, f"cited paper {ref.internal_paper_id} has no record")
+                    bad("dangling-internal-ref", pid,
+                        f"cited paper {ref.internal_paper_id} has no record", ref.key)
                 elif ref.internal_paper_id == pid:
-                    bad("self-citation", pid, "paper cites itself by id")
+                    bad("self-citation", pid, "paper cites itself by id", ref.key)
     return ValidationReport(out)
 
 
@@ -278,9 +304,7 @@ def _read_rows(path, expected_header, problems):
             problems.append(f"{path.name}:1: missing header row")
             return
         if header != expected_header:
-            problems.append(
-                f"{path.name}:1: bad header {header!r}, expected {expected_header!r}"
-            )
+            problems.append(f"{path.name}:1: bad header {header!r}, expected {expected_header!r}")
             return
         for row in reader:
             if not row:
@@ -304,23 +328,22 @@ def _parse_int(text, what, where, problems, minimum=None):
     return value
 
 
-def ingest_corpus(
-    papers_file,
-    authors_file,
-    authorship_file,
-    references_file,
-    affiliations_file=None,
-) -> Corpus:
+def ingest_corpus(papers_file, authors_file, authorship_file, references_file,
+                  affiliations_file=None) -> Corpus:
     """Build a validated corpus from the five CSV tables.
 
-    Any malformed row, duplicate primary id, dangling foreign id or
-    paper without authors is fatal: an IngestError carries every problem
-    found (with file and line number) and nothing partial is returned.  The affiliations file
-    is optional and its absence means an empty affiliation table.  Input
-    row order never affects the result: authors sort by the explicit
-    position column, reference lists by key.
+    Ingest judges only what needs a row: header and field count, an
+    integer that does not parse, an author position below 1, a repeated
+    primary id or author position, and an authorship or reference row
+    whose paper has no row.  Every record rule is ``validate_corpus``'s,
+    run once on every record built, and each violation is reported at the
+    row of its subject and ``item`` as ``file:line: kind [subject]:
+    message``.  An IngestError carries every problem found and nothing
+    partial is returned.  Without an affiliations file the table is empty.
+    Row order never matters: authors sort by position, references by key.
     """
     problems: list[str] = []
+    row_of: dict = {}  # subject or (subject, item) -> "file:line" of the row that holds it
 
     affiliations: dict[int, AffiliationRecord] = {}
     if affiliations_file is not None:
@@ -336,59 +359,29 @@ def ingest_corpus(
     authors: dict[int, AuthorRecord] = {}
     for where, row in _read_rows(authors_file, AUTHORS_HEADER, problems):
         aid = _parse_int(row[0], "author_id", where, problems)
-        if aid is None:
+        fids = [_parse_int(part, "affiliation id", where, problems)
+                for part in filter(None, row[2].split(";"))]
+        if aid is None or None in fids:
             continue
         if aid in authors:
             problems.append(f"{where}: duplicate author id {aid}")
             continue
-        fids = set()
-        ok = True
-        for part in filter(None, row[2].split(";")):
-            fid = _parse_int(part, "affiliation id", where, problems)
-            if fid is None:
-                ok = False
-                continue
-            if fid not in affiliations:
-                problems.append(f"{where}: unknown affiliation id {fid}")
-                ok = False
-                continue
-            fids.add(fid)
-        if ok:
-            authors[aid] = AuthorRecord(aid, row[1], frozenset(fids))
+        authors[aid] = AuthorRecord(aid, row[1], frozenset(fids))
+        row_of.update(((str(aid), fid), where) for fid in fids)
 
-    paper_rows: dict[str, tuple[str, str, int, int, int | None, frozenset[str]]] = {}
+    paper_rows: dict[str, tuple[str, int, int, int | None, frozenset[str]]] = {}
     for where, row in _read_rows(papers_file, PAPERS_HEADER, problems):
         pid = row[0]
-        try:
-            vol, iss, _ = parse_paper_id(pid)
-        except ValueError as exc:
-            problems.append(f"{where}: {exc}")
-            continue
         if pid in paper_rows:
             problems.append(f"{where}: duplicate paper id {pid}")
             continue
-        volume = _parse_int(row[2], "volume", where, problems, minimum=1)
-        issue = _parse_int(row[3], "issue", where, problems, minimum=1)
-        if volume is None or issue is None:
+        volume = _parse_int(row[2], "volume", where, problems)
+        issue = _parse_int(row[3], "issue", where, problems)
+        year = _parse_int(row[4], "year", where, problems) if row[4] else None
+        if volume is None or issue is None or (row[4] and year is None):
             continue
-        if (vol, iss) != (volume, issue):
-            problems.append(f"{where}: paper id {pid} disagrees with volume/issue columns")
-            continue
-        year = None
-        if row[4]:
-            year = _parse_int(row[4], "year", where, problems)
-            if year is None:
-                continue
-        codes = set()
-        ok = True
-        for code in filter(None, row[5].split(";")):
-            if not is_valid_pacs(code):
-                problems.append(f"{where}: PACS code {code!r} is not NN.NN.xx")
-                ok = False
-                continue
-            codes.add(code)
-        if ok:
-            paper_rows[pid] = (where, row[1], volume, issue, year, frozenset(codes))
+        paper_rows[pid] = (row[1], volume, issue, year, frozenset(filter(None, row[5].split(";"))))
+        row_of[pid] = where
 
     authorship: dict[str, dict[int, int]] = {}
     for where, row in _read_rows(authorship_file, AUTHORSHIP_HEADER, problems):
@@ -400,68 +393,35 @@ def ingest_corpus(
         if pid not in paper_rows:
             problems.append(f"{where}: unknown paper id {pid}")
             continue
-        if aid not in authors:
-            problems.append(f"{where}: unknown author id {aid}")
-            continue
         slots = authorship.setdefault(pid, {})
         if pos in slots:
             problems.append(f"{where}: duplicate author position {pos} for paper {pid}")
             continue
-        if aid in slots.values():
-            problems.append(f"{where}: author {aid} listed twice for paper {pid}")
-            continue
         slots[pos] = aid
+        row_of[pid, aid] = where
 
-    references: dict[str, dict[str, ReferenceKey]] = {}
+    references: dict[str, list[ReferenceKey]] = {}
     for where, row in _read_rows(references_file, REFERENCES_HEADER, problems):
         pid = row[0]
         if pid not in paper_rows:
             problems.append(f"{where}: unknown citing paper id {pid}")
             continue
         key = normalize_ref_key(row[1])
-        if not key:
-            problems.append(f"{where}: empty reference key")
-            continue
-        internal = row[2] or None
-        if internal is not None:
-            if internal not in paper_rows:
-                problems.append(f"{where}: unknown cited paper id {internal}")
-                continue
-            if internal == pid:
-                problems.append(f"{where}: paper {pid} cites itself")
-                continue
-        refs = references.setdefault(pid, {})
-        if key in refs:
-            problems.append(f"{where}: duplicate reference key {key!r} for paper {pid}")
-            continue
-        refs[key] = ReferenceKey(key, internal)
+        references.setdefault(pid, []).append(ReferenceKey(key, row[2] or None))
+        row_of[pid, key] = where
 
     papers = []
-    for pid, (where, title, volume, issue, year, codes) in paper_rows.items():
+    for pid, (title, volume, issue, year, codes) in paper_rows.items():
         slots = authorship.get(pid, {})
-        if not slots:
-            problems.append(f"{where}: paper {pid} has no authors")
-        author_ids = tuple(slots[pos] for pos in sorted(slots))
-        refs = references.get(pid, {})
-        papers.append(
-            PaperRecord(
-                paper_id=pid,
-                title=title,
-                volume=volume,
-                issue=issue,
-                year=year,
-                author_ids=author_ids,
-                pacs_codes=codes,
-                reference_keys=tuple(refs[k] for k in sorted(refs)),
-            )
-        )
+        refs = sorted(references.get(pid, ()), key=attrgetter("key"))
+        papers.append(PaperRecord(pid, title, volume, issue, year,
+                                  tuple(slots[pos] for pos in sorted(slots)), codes, tuple(refs)))
+    corpus = Corpus(papers, authors.values(), affiliations.values())
+    for v in validate_corpus(corpus).violations:
+        where = row_of.get((v.subject, v.item)) or row_of[v.subject]
+        problems.append(f"{where}: {v.kind} [{v.subject}]: {v.message}")
     if problems:
         raise IngestError(problems)
-
-    corpus = Corpus(papers, authors.values(), affiliations.values())
-    report = validate_corpus(corpus)
-    if not report.ok:
-        raise IngestError([f"{v.kind} [{v.subject}]: {v.message}" for v in report.violations])
     return corpus
 
 

@@ -181,6 +181,57 @@ def test_ingest_names_row_of_each_broken_rule(tmp_path, case):
         info.value.problems
 
 
+@pytest.mark.parametrize("case, kind", [("pacs-shape", "bad-pacs"), ("paper-id-shape", "bad-paper-id")])
+def test_ingest_reports_a_broken_paper_once(tmp_path, case, kind):
+    # the paper keeps its record, so its authorship and reference rows raise nothing more
+    edits, where, item = RULE_CASES[case]
+    with pytest.raises(IngestError) as info:
+        ingest(tmp_path, **edits)
+    (problem,) = info.value.problems
+    assert problem.startswith(f"{where}: {kind} [") and item in problem
+
+
+# The hand-edited corpus file equivalent to each case of RULE_CASES, as an
+# edit of the persisted fixture (papers v1n1p1, v1n2p1; authors 10, 11, 12).
+LOAD_EDITS = {
+    "paper-id-shape": lambda pl: pl["papers"][1].update(paper_id="v1n2p01"),
+    "paper-id-columns": lambda pl: pl["papers"][1].update(volume=2),
+    "pacs-shape": lambda pl: pl["papers"][0].update(pacs_codes=["5.50.+q", "64.60.Cn"]),
+    "dangling-author": lambda pl: pl["papers"][1]["author_ids"].append(999),
+    "author-twice": lambda pl: pl["papers"][1]["author_ids"].append(11),
+    "no-authors": lambda pl: pl["papers"][1].update(author_ids=[]),
+    "empty-key": lambda pl: pl["papers"][0]["reference_keys"].append(
+        {"key": "", "internal_paper_id": None}),
+    "repeated-key": lambda pl: pl["papers"][1]["reference_keys"].append(
+        {"key": "another work", "internal_paper_id": None}),
+    "dangling-cited-paper": lambda pl: pl["papers"][1]["reference_keys"].append(
+        {"key": "ghost", "internal_paper_id": "v9n9p9"}),
+    "self-citation": lambda pl: pl["papers"][0]["reference_keys"].append(
+        {"key": "loop", "internal_paper_id": "v1n1p1"}),
+    "dangling-affiliation": lambda pl: pl["authors"][2].update(affiliation_ids=[3]),
+}
+
+
+@pytest.mark.parametrize("case", RULE_CASES)
+def test_ingest_and_load_report_the_same_violation(tmp_path, case):
+    path = tmp_path / "c.corpus"
+    persist_corpus(ingest(tmp_path), path)
+    header, _, body = path.read_text(encoding="utf-8").partition("\n")
+    payload = json.loads(body)
+    LOAD_EDITS[case](payload)
+    path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as loaded:
+        load_corpus(path)
+    edits, where, _ = RULE_CASES[case]
+    with pytest.raises(IngestError) as ingested:
+        ingest(tmp_path, **edits)
+    (problem,) = ingested.value.problems
+    # "file:line: kind [subject]: message" against "... fails validation: kind [subject]: message"
+    violation = problem.removeprefix(f"{where}: ")
+    assert str(loaded.value).endswith(f"fails validation: {violation}")
+    assert re.match(r"[a-z-]+ \[", violation)
+
+
 def test_ingest_wrong_header_fatal(tmp_path):
     bad = PAPERS.replace("paper_id,title", "id,title")
     with pytest.raises(IngestError, match=r"papers\.csv:1.*header"):
@@ -460,7 +511,34 @@ WRONG_TYPES = {
                   "bad-author-id [x]: author id 'x' is not an integer"),
     "ref-key": (lambda payload: payload["papers"][1]["reference_keys"][0].update(key=5),
                 "bad-ref-key [v1n2p1]: reference key 5 is not text"),
+    "title": (lambda payload: payload["papers"][0].update(title=5),
+              "bad-field [v1n1p1]: title 5 is not text"),
+    "year": (lambda payload: payload["papers"][0].update(year="x"),
+             "bad-field [v1n1p1]: year 'x' is not an integer"),
+    "volume-bool": (lambda payload: payload["papers"][0].update(volume=True),
+                    "bad-field [v1n1p1]: volume True is not an integer"),
+    "volume-text": (lambda payload: payload["papers"][0].update(volume="1"),
+                    "bad-field [v1n1p1]: volume '1' is not an integer"),
+    "issue": (lambda payload: payload["papers"][0].update(issue=1.0),
+              "bad-field [v1n1p1]: issue 1.0 is not an integer"),
+    "author-name": (lambda payload: payload["authors"][0].update(name=7),
+                    "bad-field [10]: name 7 is not text"),
+    "affiliation-id": (lambda payload: payload["affiliations"][0].update(affiliation_id="1"),
+                       "bad-affiliation-id [1]: affiliation id '1' is not an integer"),
+    "affiliation-name": (lambda payload: payload["affiliations"][0].update(name=None),
+                         "bad-field [1]: affiliation name None is not text"),
+    "country": (lambda payload: payload["affiliations"][0].update(country=44),
+                "bad-field [1]: country 44 is not text"),
 }
+
+
+def test_validate_shows_values_where_id_and_columns_disagree():
+    paper = replace(make_paper("v1n1p1", [10]), volume="1")
+    report = validate_corpus(Corpus([paper], make_authors([10])))
+    assert [(v.kind, v.message) for v in report.violations] == [
+        ("bad-field", "volume '1' is not an integer"),
+        ("bad-paper-id", "id encodes volume 1, issue 1 but record says volume '1', issue 1"),
+    ]
 
 
 @pytest.mark.parametrize("case", WRONG_TYPES)

@@ -112,15 +112,19 @@ class AffiliationRecord:
 
 @dataclass(frozen=True)
 class Violation:
-    """One broken record rule.  ``subject`` is the id of the record that
-    breaks it; ``item`` is the offending author id, PACS code, reference
-    key or affiliation id inside that record, or None when the rule is
-    about the record itself.  Ingest uses the pair to find the CSV row."""
+    """One broken record rule, shown as ``kind [subject]: message``.
+    ``subject`` is the id of the record that breaks it, as the record holds
+    it; ``item`` is the offending author id, PACS code, reference key or
+    affiliation id inside that record, or None when the rule is about the
+    record itself.  Ingest uses the pair to find the CSV row."""
 
     kind: str
-    subject: str
+    subject: str | int
     message: str
     item: object = None
+
+    def __str__(self):
+        return f"{self.kind} [{self.subject}]: {self.message}"
 
 
 @dataclass
@@ -199,14 +203,15 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     """List every invariant violation; an empty report means the corpus is valid.
 
     Read-only: violations are data, not exceptions.  This is the one
-    statement of the record rules, for ingest and load alike.  A field of
-    the wrong type, as a hand-edited corpus file may hold, is a violation
-    too, naming its record.
+    statement of the record rules, for ingest and load alike.  Each
+    violation names its record and, for a rule about one entry of it, the
+    offending ``item``.  A field of the wrong type, as a hand-edited corpus
+    file may hold, is a violation too.
     """
     out: list[Violation] = []
 
     def bad(kind, subject, message, item=None):
-        out.append(Violation(kind, str(subject), message, item))
+        out.append(Violation(kind, subject, message, item))
 
     for fid in _sorted(corpus.affiliations):
         affiliation = corpus.affiliations[fid]
@@ -304,7 +309,9 @@ def _read_rows(path, expected_header, problems):
             problems.append(f"{path.name}:1: missing header row")
             return
         if header != expected_header:
-            problems.append(f"{path.name}:1: bad header {header!r}, expected {expected_header!r}")
+            problems.append(
+                f"{path.name}:1: bad header {header!r}, expected {expected_header!r}"
+            )
             return
         for row in reader:
             if not row:
@@ -367,7 +374,7 @@ def ingest_corpus(papers_file, authors_file, authorship_file, references_file,
             problems.append(f"{where}: duplicate author id {aid}")
             continue
         authors[aid] = AuthorRecord(aid, row[1], frozenset(fids))
-        row_of.update(((str(aid), fid), where) for fid in fids)
+        row_of.update(((aid, fid), where) for fid in fids)
 
     paper_rows: dict[str, tuple[str, int, int, int | None, frozenset[str]]] = {}
     for where, row in _read_rows(papers_file, PAPERS_HEADER, problems):
@@ -418,8 +425,7 @@ def ingest_corpus(papers_file, authors_file, authorship_file, references_file,
                                   tuple(slots[pos] for pos in sorted(slots)), codes, tuple(refs)))
     corpus = Corpus(papers, authors.values(), affiliations.values())
     for v in validate_corpus(corpus).violations:
-        where = row_of.get((v.subject, v.item)) or row_of[v.subject]
-        problems.append(f"{where}: {v.kind} [{v.subject}]: {v.message}")
+        problems.append(f"{row_of.get((v.subject, v.item)) or row_of[v.subject]}: {v}")
     if problems:
         raise IngestError(problems)
     return corpus
@@ -525,8 +531,5 @@ def load_corpus(path) -> Corpus:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"corrupt corpus file: {exc}") from exc
     if not report.ok:
-        first = report.violations[0]
-        raise CorpusFormatError(
-            f"corpus file fails validation: {first.kind} [{first.subject}]: {first.message}"
-        )
+        raise CorpusFormatError(f"corpus file fails validation: {report.violations[0]}")
     return corpus

@@ -181,14 +181,15 @@ def test_ingest_names_row_of_each_broken_rule(tmp_path, case):
         info.value.problems
 
 
-@pytest.mark.parametrize("case, kind", [("pacs-shape", "bad-pacs"), ("paper-id-shape", "bad-paper-id")])
-def test_ingest_reports_a_broken_paper_once(tmp_path, case, kind):
-    # the paper keeps its record, so its authorship and reference rows raise nothing more
-    edits, where, item = RULE_CASES[case]
+def test_ingest_tells_a_paper_row_from_an_author_row_with_the_same_id(tmp_path):
+    papers = PAPERS + "10,Numbered,1,1,,\n"
+    authorship = AUTHORSHIP + "10,3,1\n"
+    authors = AUTHORS.replace("10,Ann,1", "10,Ann,3")
     with pytest.raises(IngestError) as info:
-        ingest(tmp_path, **edits)
-    (problem,) = info.value.problems
-    assert problem.startswith(f"{where}: {kind} [") and item in problem
+        ingest(tmp_path, papers=papers, authors=authors, authorship=authorship)
+    assert sorted(p.split(" [")[0] for p in info.value.problems) == [
+        "authors.csv:2: dangling-affiliation", "authorship.csv:6: dangling-author",
+        "papers.csv:4: bad-paper-id"]
 
 
 # The hand-edited corpus file equivalent to each case of RULE_CASES, as an
@@ -213,7 +214,9 @@ LOAD_EDITS = {
 
 
 @pytest.mark.parametrize("case", RULE_CASES)
-def test_ingest_and_load_report_the_same_violation(tmp_path, case):
+def test_ingest_reports_each_broken_rule_once_as_load_does(tmp_path, case):
+    # One problem only: a paper with a bad PACS code or a malformed id keeps its
+    # record, so its authorship and reference rows raise nothing more.
     path = tmp_path / "c.corpus"
     persist_corpus(ingest(tmp_path), path)
     header, _, body = path.read_text(encoding="utf-8").partition("\n")

@@ -230,7 +230,9 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
         if type(author.name) is not str:
             bad("bad-field", aid, f"name {author.name!r} is not text")
         for fid in _sorted(author.affiliation_ids):
-            if fid not in corpus.affiliations:
+            if type(fid) is not int:  # True == 1 would pass the lookup
+                bad("bad-affiliation-id", aid, f"affiliation id {fid!r} is not an integer", fid)
+            elif fid not in corpus.affiliations:
                 bad("dangling-affiliation", aid, f"affiliation {fid} has no record", fid)
 
     for pid in _sorted(corpus.papers):
@@ -254,6 +256,9 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             bad("no-authors", pid, "paper has an empty author list")
         seen: set[int] = set()
         for aid in paper.author_ids:
+            if type(aid) is not int:  # True == 1 would pass the lookups
+                bad("bad-author-id", pid, f"author id {aid!r} is not an integer", aid)
+                continue
             if aid in seen:
                 bad("duplicate-author", pid, f"author {aid} listed twice", aid)
             seen.add(aid)
@@ -274,7 +279,7 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             if ref.internal_paper_id is not None:
                 if ref.internal_paper_id not in corpus.papers:
                     bad("dangling-internal-ref", pid,
-                        f"cited paper {ref.internal_paper_id} has no record", ref.key)
+                        f"cited paper {ref.internal_paper_id!r} has no record", ref.key)
                 elif ref.internal_paper_id == pid:
                     bad("self-citation", pid, "paper cites itself by id", ref.key)
     return ValidationReport(out)

@@ -4,15 +4,16 @@ Every layer is read off one of five relations in the corpus: an author
 wrote a paper, a paper carries a PACS code, a paper cites a work or a
 journal paper, and an author on record uses a code in any of their
 papers.  A relation is the (left id, right id) pairs its records hold,
-which :func:`_ends` indexes both ways once per corpus; every builder
-reads that index.  The bipartite layers and the citation layer hold a
-relation's links as they are.  A one-mode layer keeps one side of a
-relation and links two of its nodes once per node of the other side
-they share, as counted by one pair-count kernel.  :func:`build_layer`
-builds a whole layer; :func:`_seed_row` reads one node's row off the
-same relation.  :func:`project_one_mode` counts the same shared
-neighbours straight off the rows of any two-kind graph, such as one
-read back from Pajek.
+which :func:`_ends` indexes both ways once per corpus.  One builder,
+:func:`_build`, turns that index into any layer: the bipartite layers
+and the citation layer hold a relation's links as they are, and a
+one-mode layer keeps one side of a relation and links two of its nodes
+once per node of the other side they share, as counted by one
+pair-count kernel, :func:`_co_members`.  :func:`build_layer` builds a
+whole layer once per corpus; :func:`_seed_row` reads one node's row off
+the same index.  :func:`project_one_mode` counts the same shared
+neighbours straight off the rows of any two-kind graph, such as one read
+back from Pajek.
 """
 
 from __future__ import annotations
@@ -144,62 +145,11 @@ def is_bipartite_between(graph: Graph, left_kind: str, right_kind: str) -> bool:
     return all({u.kind, v.kind} == {left_kind, right_kind} for u, v, _ in graph.links())
 
 
-def _numbered(kind: str, ids: Iterable, start: int = 0) -> tuple[list[NodeRef], dict]:
-    """One kind's ids as sorted nodes, and each id's index among them
-    counted from ``start``."""
-    ids = sorted(ids)
-    return [NodeRef(kind, x) for x in ids], {x: i for i, x in enumerate(ids, start)}
-
-
-def _link_graph(corpus: Corpus, relation: _Relation, directed: bool) -> Graph:
-    """A relation's links as a graph of weight-1 links.
-
-    Every id either side of :func:`_ends` holds is a node, linked or not.
-    Nodes are sorted by (kind, id), so each kind's ids take one run of
-    indices.  Each left node's row holds its far ends; an undirected graph
-    also gets each link written back into the far end's row.  A link from
-    a node to itself raises GraphError.
-    """
-    (left, right), (lefts, rights) = relation.kinds, _ends(corpus, relation)
-    ids = {left: set(), right: set()}
-    ids[left].update(lefts)
-    ids[right].update(rights)
-    nodes, index = [], {}
-    for kind in sorted(ids):
-        kind_nodes, index[kind] = _numbered(kind, ids[kind], len(nodes))
-        nodes += kind_nodes
-    rows: list[dict[int, int]] = [{} for _ in nodes]
-    at, to = index[left], index[right]
-    for x, ys in lefts.items():
-        a = at[x]
-        row = rows[a] = {to[y]: 1 for y in ys}
-        if a in row:
-            raise GraphError(f"self-loop rejected: ({NodeRef(left, x)}, {NodeRef(right, x)})")
-        if not directed:
-            for b in row:
-                rows[b][a] = 1
-    return Graph(directed, nodes, rows)
-
-
 def _co_members(member, groups) -> Counter:
     """How many of ``groups``, each holding ``member`` and no id twice, each other member is in."""
     counts = Counter(chain.from_iterable(groups))
     del counts[member]
     return counts
-
-
-def _pair_counts(kind: str, ids: Iterable, groups: Iterable[Iterable], aux=None) -> Graph:
-    """Undirected graph over ids of one node kind where two nodes link once
-    per group holding both; each group counts as a set of ids in ``ids``,
-    and ``aux``, if given, maps each id to its node's aux count."""
-    nodes, index = _numbered(kind, ids)
-    held: list[list[set[int]]] = [[] for _ in nodes]  # node -> the groups holding it
-    for group in groups:
-        members = {index[x] for x in group}
-        for i in members:
-            held[i].append(members)
-    rows = (_co_members(i, sets) for i, sets in enumerate(held))
-    return Graph(False, nodes, rows, aux=aux and {node: aux[node.id] for node in nodes})
 
 
 def project_one_mode(graph: Graph, kind: str) -> Graph:
@@ -243,19 +193,52 @@ def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Gr
 
 
 def _build(corpus: Corpus, layer: Layer, internal_only: bool) -> Graph:
+    """A layer read off its relation's :func:`_ends` index.
+
+    The nodes are the ids of every side the layer keeps, linked or not,
+    sorted by (kind, id), so each kind's ids take one run of indices.  A
+    link layer writes each left node's far ends into its row at weight 1,
+    and writes each link back into the far end's row unless the layer is
+    directed; a link from a node to itself raises GraphError.  A one-mode
+    layer links two nodes once per node of the other side whose far ends
+    hold both.  ``internal_only`` keeps only cited works that some paper
+    cites by journal id; co-authorship counts each author's papers as aux.
+    """
     relation, side = _LAYERS[layer]
-    if side is None:
-        return _link_graph(corpus, relation, layer.directed)
     ends = _ends(corpus, relation)
-    ids, groups = ends[side], ends[1 - side].values()
+    ids = defaultdict(set)
+    for s in (0, 1) if side is None else (side,):
+        ids[relation.kinds[s]].update(ends[s])
+    groups = () if side is None else ends[1 - side].values()
     if internal_only:
         keep = {r.key for p in corpus.papers.values() for r in p.reference_keys
                 if r.internal_paper_id is not None}
-        ids, groups = ids.keys() & keep, (keep & set(g) for g in groups)
-    aux = None
-    if layer is Layer.COAUTHORSHIP:
-        aux = {a: len(papers) for a, papers in ids.items()}
-    return _pair_counts(relation.kinds[side], ids, groups, aux)
+        ids[REFERENCE] &= keep
+        groups = (keep.intersection(g) for g in groups)
+    nodes, index = [], {}
+    for kind in sorted(ids):
+        index[kind] = {x: i for i, x in enumerate(sorted(ids[kind]), len(nodes))}
+        nodes += (NodeRef(kind, x) for x in index[kind])
+    if side is None:
+        (left, right), rows = relation.kinds, [{} for _ in nodes]
+        at, to = index[left], index[right]
+        for x, ys in ends[0].items():
+            a = at[x]
+            row = rows[a] = {to[y]: 1 for y in ys}
+            if a in row:
+                raise GraphError(f"self-loop rejected: ({NodeRef(left, x)}, {NodeRef(right, x)})")
+            if not layer.directed:
+                for b in row:
+                    rows[b][a] = 1
+        return Graph(layer.directed, nodes, rows)
+    at = index[relation.kinds[side]]
+    held: list[list[set[int]]] = [[] for _ in nodes]  # node -> the groups holding it
+    for group in groups:
+        members = {at[x] for x in group}
+        for i in members:
+            held[i].append(members)
+    aux = layer is Layer.COAUTHORSHIP and {node: len(ends[0][node.id]) for node in nodes}
+    return Graph(False, nodes, (_co_members(i, sets) for i, sets in enumerate(held)), aux=aux)
 
 
 def _seed_row(corpus: Corpus, layer: Layer, seed: NodeRef, direction: str) -> tuple[str, dict]:

@@ -169,6 +169,8 @@ RULE_CASES = {
                       "references.csv:4", "v1n1p1"),
     "dangling-affiliation": (dict(authors=AUTHORS.replace("12,Cid,", "12,Cid,3")),
                              "authors.csv:4", "3"),
+    "blank-cited-paper": (dict(references=REFERENCES + "v1n2p1,ghost,   \n"),
+                          "references.csv:4", "'   '"),
 }
 
 
@@ -210,6 +212,8 @@ LOAD_EDITS = {
     "self-citation": lambda pl: pl["papers"][0]["reference_keys"].append(
         {"key": "loop", "internal_paper_id": "v1n1p1"}),
     "dangling-affiliation": lambda pl: pl["authors"][2].update(affiliation_ids=[3]),
+    "blank-cited-paper": lambda pl: pl["papers"][1]["reference_keys"].append(
+        {"key": "ghost", "internal_paper_id": "   "}),
 }
 
 
@@ -504,6 +508,12 @@ def test_load_rejects_record_with_unknown_field(tmp_path, kind):
         load_corpus(path)
 
 
+def list_true_as_author(payload):
+    """Paper v1n1p1 lists ``true`` as an author while author 1 is on record."""
+    payload["authors"].append(dict(payload["authors"][0], author_id=1))
+    payload["papers"][0]["author_ids"].append(True)
+
+
 # A field of the wrong JSON type in a hand-edited file, and the violation naming its record.
 WRONG_TYPES = {
     "paper-id": (lambda payload: payload["papers"][0].update(paper_id=5),
@@ -526,6 +536,11 @@ WRONG_TYPES = {
               "bad-field [v1n1p1]: issue 1.0 is not an integer"),
     "author-name": (lambda payload: payload["authors"][0].update(name=7),
                     "bad-field [10]: name 7 is not text"),
+    "author-id-in-paper": (list_true_as_author,
+                           "bad-author-id [v1n1p1]: author id True is not an integer"),
+    "affiliation-id-of-author": (  # affiliation 1 is on record
+        lambda payload: payload["authors"][0].update(affiliation_ids=[True]),
+        "bad-affiliation-id [10]: affiliation id True is not an integer"),
     "affiliation-id": (lambda payload: payload["affiliations"][0].update(affiliation_id="1"),
                        "bad-affiliation-id [1]: affiliation id '1' is not an integer"),
     "affiliation-name": (lambda payload: payload["affiliations"][0].update(name=None),

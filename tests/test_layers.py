@@ -304,6 +304,20 @@ def test_one_mode_layer_matches_record_oracle(layer, seed):
     assert g.nodes() == sorted(counterparts)
 
 
+@pytest.mark.parametrize("seed", [*range(6), "messy"])
+def test_internal_cocitation_matches_record_oracle(seed):
+    corpus = messy_corpus() if seed == "messy" else random_corpus(random.Random(700 + seed))
+    internal = {r.key for p in corpus.papers.values() for r in p.reference_keys
+                if r.internal_paper_id is not None}
+    counterparts = {node: papers for node, papers
+                    in record_counterparts(corpus)[Layer.COCITATION].items() if node.id in internal}
+    g = build_layer(corpus, Layer.COCITATION, internal_only=True)
+    assert {(u, v): w for u, v, w in g.links()} == brute_projection(counterparts, counterparts)
+    assert g.nodes() == sorted(counterparts)
+    assert g.link_count and g.node_count < len(build_layer(corpus, Layer.COCITATION).nodes())
+    assert_rows_ascending(g)
+
+
 def test_author_listed_twice_counts_one_shared_paper():
     # Corpus() accepts a repeated author; validate_corpus only reports it.
     papers = [

@@ -314,7 +314,7 @@ def test_internal_cocitation_matches_record_oracle(seed):
     g = build_layer(corpus, Layer.COCITATION, internal_only=True)
     assert {(u, v): w for u, v, w in g.links()} == brute_projection(counterparts, counterparts)
     assert g.nodes() == sorted(counterparts)
-    assert g.link_count and g.node_count < len(build_layer(corpus, Layer.COCITATION).nodes())
+    assert g.link_count and g.node_count < build_layer(corpus, Layer.COCITATION).node_count
     assert_rows_ascending(g)
 
 

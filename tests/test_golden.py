@@ -40,6 +40,14 @@ BIPARTITE_LAYERS = "bipartite-author-paper,bipartite-paper-pacs"
 CASES = {
     "stats-coauthorship.txt": ["stats", "--layer", "coauthorship"],
     "stats-paper-citation.txt": ["stats", "--layer", "paper-citation"],
+    **{
+        f"stats-{layer}.txt": ["stats", "--layer", layer]
+        for layer in (
+            "paper-common-author", "paper-common-pacs", "cocitation", "coupling",
+            "author-common-pacs", "bipartite-author-paper", "bipartite-paper-pacs",
+            "bipartite-paper-reference",
+        )
+    },
     "dendrogram-coauthorship.txt": ["communities", "--layer", "coauthorship", "--dump-dendrogram"],
     "partition-coauthorship.csv": ["communities", "--layer", "coauthorship"],
     "dendrogram-paper-citation.txt": [

@@ -304,28 +304,32 @@ AFFILIATIONS_HEADER = ["affiliation_id", "name", "country"]
 
 def _read_rows(path, expected_header, problems):
     """Yield ("file:line", row) for every data row; header and arity checked."""
-    path = Path(path)
+    name = Path(path).name
     # utf-8-sig: spreadsheet exports often prepend a BOM
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            problems.append(f"{path.name}:1: missing header row")
+            problems.append(f"{name}:1: missing header row")
             return
         if header != expected_header:
-            problems.append(
-                f"{path.name}:1: bad header {header!r}, expected {expected_header!r}"
-            )
+            problems.append(f"{name}:1: bad header {header!r}, expected {expected_header!r}")
             return
         for row in reader:
             if not row:
                 continue
-            where = f"{path.name}:{reader.line_num}"
+            where = f"{name}:{reader.line_num}"
             if len(row) != len(expected_header):
                 problems.append(f"{where}: expected {len(expected_header)} fields, got {len(row)}")
                 continue
             yield where, row
+
+
+def _repeats(entries) -> list:
+    """The entries equal to an earlier one, in list order (``True`` repeats 1)."""
+    seen: set = set()
+    return [entry for entry in entries if entry in seen or seen.add(entry)]  # add gives None
 
 
 def _parse_int(text, what, where, problems, minimum=None):
@@ -346,13 +350,14 @@ def ingest_corpus(papers_file, authors_file, authorship_file, references_file,
 
     Ingest judges only what needs a row: header and field count, an
     integer that does not parse, an author position below 1, a repeated
-    primary id or author position, and an authorship or reference row
-    whose paper has no row.  Every record rule is ``validate_corpus``'s,
-    run once on every record built, and each violation is reported at the
-    row of its subject and ``item`` as ``file:line: kind [subject]:
-    message``.  An IngestError carries every problem found and nothing
-    partial is returned.  Without an affiliations file the table is empty.
-    Row order never matters: authors sort by position, references by key.
+    primary id, author position or entry of a list cell, and an
+    authorship or reference row whose paper has no row.  Every record
+    rule is ``validate_corpus``'s, run once on every record built, and
+    each violation is reported at the row of its subject and ``item`` as
+    ``file:line: kind [subject]: message``.  An IngestError carries every
+    problem found; nothing partial is returned.  Without an affiliations
+    file the table is empty.  Row order never matters: authors sort by
+    position, references by key.
     """
     problems: list[str] = []
     row_of: dict = {}  # subject or (subject, item) -> "file:line" of the row that holds it
@@ -378,6 +383,7 @@ def ingest_corpus(papers_file, authors_file, authorship_file, references_file,
         if aid in authors:
             problems.append(f"{where}: duplicate author id {aid}")
             continue
+        problems.extend(f"{where}: affiliation id {fid} listed twice" for fid in _repeats(fids))
         authors[aid] = AuthorRecord(aid, row[1], frozenset(fids))
         row_of.update(((aid, fid), where) for fid in fids)
 
@@ -392,7 +398,9 @@ def ingest_corpus(papers_file, authors_file, authorship_file, references_file,
         year = _parse_int(row[4], "year", where, problems) if row[4] else None
         if volume is None or issue is None or (row[4] and year is None):
             continue
-        paper_rows[pid] = (row[1], volume, issue, year, frozenset(filter(None, row[5].split(";"))))
+        codes = list(filter(None, row[5].split(";")))
+        problems.extend(f"{where}: PACS code {code!r} listed twice" for code in _repeats(codes))
+        paper_rows[pid] = (row[1], volume, issue, year, frozenset(codes))
         row_of[pid] = where
 
     authorship: dict[str, dict[int, int]] = {}
@@ -490,7 +498,9 @@ def _reader(cls, **converters):
     def converted(values) -> list:
         values = list(values)
         for i, f in convert:
-            values[i] = f(values[i])
+            raw, values[i] = values[i], f(values[i])
+            if isinstance(values[i], frozenset) and len(values[i]) < len(raw):
+                raise ValueError(f"{names[0]} {values[0]}: {names[i]} repeats {_repeats(raw)[0]!r}")
         return values
 
     def read(objects) -> list:
@@ -512,8 +522,8 @@ def persist_corpus(corpus: Corpus, path) -> None:
 
 
 def load_corpus(path) -> Corpus:
-    """Read a file written by persist_corpus; wrong version or shape fails,
-    and so does a record object with a missing or unknown field."""
+    """Read a file written by persist_corpus; a wrong version or shape fails,
+    as does a record with a missing or unknown field or a repeated set entry."""
     text = Path(path).read_text(encoding="utf-8")
     header, _, body = text.partition("\n")
     if header != FORMAT_HEADER:

@@ -21,6 +21,7 @@ from journet.metrics import (
     connected_components,
     degree_stats,
     evolution_series,
+    metrics_report,
 )
 from journet.pajek import export_pajek, parse_pajek
 from journet.reports import adjacency_report_csv
@@ -234,3 +235,13 @@ def test_criterion_10_evolution_on_1500_papers():
     assert [t for t, _ in series.points] == corpus.time_indexes()
     assert len(values) == 30 and values == sorted(values)
     assert values[-1] == build_layer(corpus, Layer.COAUTHORSHIP).node_count == corpus.author_count
+
+
+def test_criterion_11_stats_on_dense_1500_paper_layer():
+    corpus = preferential_attachment_corpus(random.Random(5), n_papers=1500)
+    g = build_layer(corpus, Layer.PAPER_COMMON_AUTHOR)
+    with criterion(11, "metrics_report on paper-common-author, 1.5k papers", 2.0):
+        report = metrics_report(g)
+    assert (report.node_count, report.link_count) == (1500, 36615)
+    sizes = sorted(map(len, connected_components(g)))
+    assert (report.component_count, report.giant_component_size) == (len(sizes), sizes[-1])

@@ -571,6 +571,39 @@ def test_load_rejects_field_of_wrong_type(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith(f"journet: error: corpus file fails validation: {message}")
 
 
+# A list in a hand-edited file that repeats an entry, which a set field would
+# drop without a word, and the record and entry the load error names.
+REPEATED_ENTRIES = {
+    "pacs-code": (lambda payload: payload["papers"][0]["pacs_codes"].append("05.50.+q"),
+                  "paper_id v1n1p1: pacs_codes repeats '05.50.+q'"),
+    "true-beside-1": (  # True == 1, so a set keeps one of them
+        lambda payload: payload["authors"][0]["affiliation_ids"].append(True),
+        "author_id 10: affiliation_ids repeats True"),
+}
+
+
+@pytest.mark.parametrize("case", REPEATED_ENTRIES)
+def test_load_rejects_list_that_repeats_an_entry(tmp_path, case):
+    edit, message = REPEATED_ENTRIES[case]
+    path, header, payload = persisted_payload(tmp_path)
+    edit(payload)
+    path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match=f"^corrupt corpus file: {re.escape(message)}$"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("edits, problem", [
+    (dict(papers=PAPERS.replace("05.50.+q;64.60.Cn", "05.50.+q;64.60.Cn;05.50.+q")),
+     "papers.csv:2: PACS code '05.50.+q' listed twice"),
+    (dict(authors=AUTHORS.replace("11,Bob,1;2", "11,Bob,1;2;01")),
+     "authors.csv:3: affiliation id 1 listed twice"),
+], ids=["pacs-code", "affiliation-id"])
+def test_ingest_rejects_cell_that_repeats_an_entry(tmp_path, edits, problem):
+    with pytest.raises(IngestError) as info:
+        ingest(tmp_path, **edits)
+    assert info.value.problems == [problem]
+
+
 def test_validate_flags_duplicate_ref_key(tmp_path):
     paper = make_paper("v1n1p1", [10], refs=["cited work", "cited work", "other work"])
     report = validate_corpus(Corpus([paper], make_authors([10])))

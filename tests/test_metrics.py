@@ -8,6 +8,7 @@ from journet.graph import author_node, build_graph
 from journet.layers import Layer, build_layer
 from journet.metrics import (
     EVOLUTION_METRICS,
+    PathStats,
     clustering,
     degree_stats,
     evolution_series,
@@ -133,6 +134,71 @@ def test_bfs_matches_floyd_warshall():
             got = {(source, t): d for t, d in dist.items()}
             want = {k: v for k, v in expected.items() if k[0] == source}
             assert got == want
+
+
+def oracle_path_stats(neighbor_sets):
+    """PathStats from Floyd-Warshall distances: the giant component is the
+    largest reach set, ties to the one holding the smallest node."""
+    dist = floyd_warshall(neighbor_sets)
+    comps = {frozenset(t for (s, t) in dist if s == v) for v in neighbor_sets}
+    if not comps:
+        return PathStats(0.0, 0, 0, 0)
+    giant = max(sorted(comps, key=min), key=len)
+    if len(giant) < 2:
+        return PathStats(0.0, 0, len(comps), len(giant))
+    total = sum(d for (s, _), d in dist.items() if s in giant)
+    pairs = len(giant) * (len(giant) - 1) // 2
+    diameter = max(d for (s, _), d in dist.items() if s in giant)
+    return PathStats(total / 2 / pairs, diameter, len(comps), len(giant))
+
+
+def assert_exact_against_oracles(g):
+    neighbor_sets = {v: set(g.all_neighbors(v)) for v in g.nodes()}
+    assert path_stats(g) == oracle_path_stats(neighbor_sets)
+    stats = clustering(g)
+    expected = triangle_clustering(neighbor_sets)
+    assert stats.per_node == expected
+    for v, c in expected.items():
+        k = len(neighbor_sets[v])
+        assert (2.0 * stats.triangles[v] / (k * (k - 1)) if k >= 2 else 0.0) == c
+        assert k >= 2 or stats.triangles[v] == 0
+
+
+def test_paths_and_clustering_equal_oracles_exactly_on_random_graphs():
+    # the graphs of acceptance criterion 3
+    for seed in range(50):
+        rng = random.Random(1000 + seed)
+        assert_exact_against_oracles(
+            random_graph(rng, rng.randint(2, 50), rng.uniform(0.05, 0.25)))
+
+
+@pytest.mark.parametrize("layer", list(Layer), ids=lambda layer: layer.value)
+def test_paths_and_clustering_equal_oracles_exactly_on_layers(layer):
+    for seed in (90, 91, 92, 93):
+        assert_exact_against_oracles(build_layer(random_corpus(random.Random(seed)), layer))
+
+
+def test_path_stats_runs_no_more_bfs_than_components(monkeypatch):
+    import journet.graph
+    import journet.metrics
+    from journet.graph import components
+
+    calls = []
+    real_bfs = journet.graph.bfs
+
+    def counting_bfs(*args, **kwargs):
+        calls.append(args[1])
+        return real_bfs(*args, **kwargs)
+
+    monkeypatch.setattr(journet.graph, "bfs", counting_bfs)
+    monkeypatch.setattr(journet.metrics, "bfs", counting_bfs)
+    g = random_graph(random.Random(94), 60, 0.08)
+    components(g.adjacency("both"))
+    component_bfs = len(calls)
+    calls.clear()
+    stats = path_stats(g)
+    assert stats.giant_component_size > component_bfs  # one BFS per source would show
+    assert len(calls) <= component_bfs
 
 
 def test_complete_graph_invariants():

@@ -488,7 +488,7 @@ def _json_form(value):
 def _reader(cls, **converters):
     """A function that builds a ``cls`` record from each JSON object in a
     list through the record's own constructor, once ``converters`` turn
-    fields from their JSON form.  An object holds exactly the record's
+    list fields from JSON lists.  An object holds exactly the record's
     fields: a missing one fails the count or the lookup, an unknown one
     the count.  Build it once and use it for every list of its records."""
     names = tuple(cls.__dataclass_fields__)
@@ -498,6 +498,8 @@ def _reader(cls, **converters):
     def converted(values) -> list:
         values = list(values)
         for i, f in convert:
+            if not isinstance(values[i], list):
+                raise ValueError(f"{names[0]} {values[0]}: {names[i]} is not a list")
             raw, values[i] = values[i], f(values[i])
             if isinstance(values[i], frozenset) and len(values[i]) < len(raw):
                 raise ValueError(f"{names[0]} {values[0]}: {names[i]} repeats {_repeats(raw)[0]!r}")

@@ -8,15 +8,20 @@ multiplicity: shared papers, shared codes, co-citations.  Each node's
 row is one dict from neighbour index to weight, its keys in ascending
 order.  The :class:`Graph` constructor is the one place that puts rows
 in that form: builders hand it rows in any key order, and it sorts them
-and derives a directed graph's in-rows.  A graph is immutable once built
-and every accessor returns data in canonical sorted order, so reports
-and exported files are reproducible byte for byte.
+and derives a directed graph's in-rows, or derives a one-mode graph's
+rows from its groups with :func:`_co_members`, the one pair-count
+kernel.  A graph is immutable once built and every accessor returns
+data in canonical sorted order, so reports and exported files are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import or_
 from typing import Iterable, Iterator
 
 AUTHOR = "author"
@@ -89,22 +94,44 @@ class Graph:
     rows of both its ends.  The constructor stores each row as a dict
     with keys ascending, so iterating a row gives canonical neighbour
     order, and derives a directed graph's in-arc rows from its out-rows.
+    An undirected one-mode graph may be given ``groups`` instead: member
+    index collections, each holding a node once, where two nodes link
+    once per group holding both.  Its degrees come from member bitsets;
+    :meth:`adjacency` derives and keeps its rows, :meth:`rows` keeps none.
     """
 
-    def __init__(self, directed, nodes, rows, aux=None):
+    def __init__(self, directed, nodes, rows=None, aux=None, groups=None):
         self.directed = directed
         self._nodes = tuple(nodes)
         self._index = {node: i for i, node in enumerate(self._nodes)}
-        self._out = tuple(dict(sorted(row.items())) for row in rows)
-        self._in = self._out
-        if directed:
+        self._aux = dict(aux) if aux else None
+        self._symmetrized = self._degrees = self._out = self._arc_count = None
+        if groups is None:
+            self._keep(dict(sorted(row.items())) for row in rows)
+            return
+        self._groups = tuple(groups)
+        self._held = [[] for _ in self._nodes]  # node -> the indices of the groups holding it
+        for g, members in enumerate(self._groups):
+            for i in members:
+                self._held[i].append(g)
+
+    def _keep(self, rows):
+        """Store ascending out-rows and derive a directed graph's in-rows."""
+        self._out = self._in = tuple(rows)
+        if self.directed:
             self._in = tuple({} for _ in self._nodes)
             for a, row in enumerate(self._out):  # a ascends, so every in-row does too
                 for b, w in row.items():
                     self._in[b][a] = w
         self._arc_count = sum(map(len, self._out))
-        self._aux = dict(aux) if aux else None
-        self._symmetrized = None
+
+    def _group_degrees(self) -> tuple[int, ...]:
+        """Popcount of the OR of each node's groups' member bitsets, less the node."""
+        if self._degrees is None:
+            bits = [sum(1 << i for i in members) for members in self._groups]
+            self._degrees = tuple(reduce(or_, map(bits.__getitem__, held), 1 << i).bit_count() - 1
+                                  for i, held in enumerate(self._held))
+        return self._degrees
 
     # -- node accessors ----------------------------------------------------
 
@@ -131,6 +158,8 @@ class Graph:
 
     @property
     def link_count(self) -> int:
+        if self._arc_count is None:  # group-held: each link counts at both its ends
+            self._arc_count = sum(self._group_degrees())
         return self._arc_count if self.directed else self._arc_count // 2
 
     def adjacency(self, direction: str = "out") -> tuple[dict[int, int], ...]:
@@ -141,15 +170,27 @@ class Graph:
         rows are the graph's own and shared: never mutate them.
         """
         if direction == "both":
-            return self.symmetrized()._out
+            return self.symmetrized().adjacency()
+        if self._out is None:  # the kept rows replace the groups
+            self._keep(self.rows())
+            self._groups = self._held = None
         return {"out": self._out, "in": self._in}[direction]
+
+    def rows(self) -> Iterator[dict[int, int]]:
+        """The out-rows of :meth:`adjacency` in index order; a group-held graph
+        without kept rows derives each as it is reached and does not keep it."""
+        if self._out is not None:
+            return iter(self._out)
+        groups = self._groups  # adjacency() may drop it while the rows are read
+        return (dict(sorted(_co_members(i, map(groups.__getitem__, held)).items()))
+                for i, held in enumerate(self._held))
 
     def neighbors(self, node: NodeRef) -> list[NodeRef]:
         """Sorted neighbours; out-neighbours for a directed graph."""
-        return [self._nodes[j] for j in self._out[self._index[node]]]
+        return [self._nodes[j] for j in self.adjacency()[self._index[node]]]
 
     def in_neighbors(self, node: NodeRef) -> list[NodeRef]:
-        return [self._nodes[j] for j in self._in[self._index[node]]]
+        return [self._nodes[j] for j in self.adjacency("in")[self._index[node]]]
 
     def all_neighbors(self, node: NodeRef) -> list[NodeRef]:
         """Out and in neighbours combined (identical to neighbors when undirected)."""
@@ -157,10 +198,10 @@ class Graph:
 
     def has_link(self, u: NodeRef, v: NodeRef) -> bool:
         i, j = self._index.get(u), self._index.get(v)
-        return i is not None and j is not None and j in self._out[i]
+        return i is not None and j is not None and j in self.adjacency()[i]
 
     def weight(self, u: NodeRef, v: NodeRef) -> int:
-        w = self._out[self._index[u]].get(self._index[v])
+        w = self.adjacency()[self._index[u]].get(self._index[v])
         if w is None:
             raise KeyError((u, v))
         return w
@@ -168,12 +209,14 @@ class Graph:
     def degree(self, node: NodeRef) -> int:
         """Neighbour count; for directed graphs out-degree plus in-degree."""
         i = self._index[node]
+        if self._out is None:
+            return self._group_degrees()[i]
         return len(self._out[i]) + (len(self._in[i]) if self.directed else 0)
 
     def links(self) -> Iterator[tuple[NodeRef, NodeRef, int]]:
         """Canonical link iteration: undirected edges once with u < v, sorted."""
         nodes = self._nodes
-        for i, row in enumerate(self._out):
+        for i, row in enumerate(self.rows()):
             for j, w in row.items():
                 if self.directed or i < j:
                     yield nodes[i], nodes[j], w
@@ -198,8 +241,8 @@ class Graph:
         # Equality is over topology and weights; aux counts are presentation.
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.directed, self._nodes, self._out) == (
-            other.directed, other._nodes, other._out
+        return (self.directed, self._nodes, self.adjacency()) == (
+            other.directed, other._nodes, other.adjacency()
         )
 
     def __repr__(self):
@@ -282,7 +325,7 @@ class AdjacencyRow:
 
 
 def adjacency_rows(graph: Graph) -> list[AdjacencyRow]:
-    """One row per node, sorted by node id.
+    """One row per node, sorted by node id, read through :meth:`Graph.rows`.
 
     For directed graphs the neighbour column is the union of out- and
     in-neighbours and the degree counts them once each.  The graph's own
@@ -292,5 +335,12 @@ def adjacency_rows(graph: Graph) -> list[AdjacencyRow]:
     nodes = graph.nodes()
     return [
         AdjacencyRow(node, tuple(nodes[j] for j in row), len(row), aux[node] if aux else 0)
-        for node, row in zip(nodes, graph.adjacency("both"))
+        for node, row in zip(nodes, graph.symmetrized().rows())
     ]
+
+
+def _co_members(member, groups) -> Counter:
+    """How many of ``groups``, each holding ``member`` and no id twice, each other member is in."""
+    counts = Counter(chain.from_iterable(groups))
+    del counts[member]
+    return counts

@@ -8,11 +8,11 @@ which :func:`_ends` indexes both ways once per corpus.  One builder,
 :func:`_build`, turns that index into any layer: the bipartite layers
 and the citation layer hold a relation's links as they are, and a
 one-mode layer keeps one side of a relation and links two of its nodes
-once per node of the other side they share, as counted by one
-pair-count kernel, :func:`_co_members`.  :func:`build_layer` builds a
-whole layer once per corpus; :func:`_seed_row` reads one node's row off
-the same index.  :func:`project_one_mode` counts the same shared
-neighbours straight off the rows of any two-kind graph, such as one read
+once per node of the other side they share: its graph holds those
+groups and counts a row off them only when the row is read.
+:func:`build_layer` builds a layer once per corpus; :func:`_seed_row`
+reads one node's row off the same index.  :func:`project_one_mode`
+takes the groups off the rows of any two-kind graph, such as one read
 back from Pajek.
 """
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterable
 
@@ -34,6 +33,7 @@ from .graph import (
     Graph,
     GraphError,
     NodeRef,
+    _co_members,
 )
 
 
@@ -145,13 +145,6 @@ def is_bipartite_between(graph: Graph, left_kind: str, right_kind: str) -> bool:
     return all({u.kind, v.kind} == {left_kind, right_kind} for u, v, _ in graph.links())
 
 
-def _co_members(member, groups) -> Counter:
-    """How many of ``groups``, each holding ``member`` and no id twice, each other member is in."""
-    counts = Counter(chain.from_iterable(groups))
-    del counts[member]
-    return counts
-
-
 def project_one_mode(graph: Graph, kind: str) -> Graph:
     """Collapse an undirected two-kind graph onto its ``kind`` nodes.
 
@@ -167,9 +160,8 @@ def project_one_mode(graph: Graph, kind: str) -> Graph:
     new = {i: k for k, i in enumerate(kept)}  # keeps node order, so the nodes stay sorted
     if any((i in new) == (j in new) for i, row in enumerate(rows) for j in row):
         raise ValueError(f"every link must have exactly one {kind} end")
-    projected = (_co_members(i, [rows[g] for g in rows[i]]) for i in kept)
-    return Graph(False, [nodes[i] for i in kept],
-                 ({new[j]: w for j, w in row.items()} for row in projected))
+    groups = ([new[j] for j in row] for i, row in enumerate(rows) if i not in new)
+    return Graph(False, [nodes[i] for i in kept], groups=groups)
 
 
 def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Graph:
@@ -182,9 +174,10 @@ def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Gr
 
     The corpus keeps every layer built from it, with the layer's
     symmetrized view once read, for as long as the corpus lives, and a
-    later call returns the same graph.  That trades memory for time:
-    a dense one-mode layer of a 10^4-paper journal holds millions of
-    links.  The graph is shared, so it must never be mutated.
+    later call returns the same graph.  A one-mode layer holds its
+    groups, and its rows (millions of links on a dense layer of a
+    10^4-paper journal) only once ``adjacency()`` is read.  The graph
+    is shared, so it must never be mutated.
     """
     key = layer, internal_only and layer is Layer.COCITATION
     if key not in corpus._memo:
@@ -200,9 +193,9 @@ def _build(corpus: Corpus, layer: Layer, internal_only: bool) -> Graph:
     link layer writes each left node's far ends into its row at weight 1,
     and writes each link back into the far end's row unless the layer is
     directed; a link from a node to itself raises GraphError.  A one-mode
-    layer links two nodes once per node of the other side whose far ends
-    hold both.  ``internal_only`` keeps only cited works that some paper
-    cites by journal id; co-authorship counts each author's papers as aux.
+    layer's graph holds the far ends of each other-side node as a group.
+    ``internal_only`` keeps only cited works that some paper cites by
+    journal id; co-authorship counts each author's papers as aux.
     """
     relation, side = _LAYERS[layer]
     ends = _ends(corpus, relation)
@@ -232,13 +225,8 @@ def _build(corpus: Corpus, layer: Layer, internal_only: bool) -> Graph:
                     rows[b][a] = 1
         return Graph(layer.directed, nodes, rows)
     at = index[relation.kinds[side]]
-    held: list[list[set[int]]] = [[] for _ in nodes]  # node -> the groups holding it
-    for group in groups:
-        members = {at[x] for x in group}
-        for i in members:
-            held[i].append(members)
     aux = layer is Layer.COAUTHORSHIP and {node: len(ends[0][node.id]) for node in nodes}
-    return Graph(False, nodes, (_co_members(i, sets) for i, sets in enumerate(held)), aux=aux)
+    return Graph(False, nodes, aux=aux, groups=([at[x] for x in group] for group in groups))
 
 
 def _seed_row(corpus: Corpus, layer: Layer, seed: NodeRef, direction: str) -> tuple[str, dict]:

@@ -29,14 +29,14 @@ class PajekFormatError(ValueError):
 
 
 def export_pajek(graph: Graph) -> str:
-    """Render a graph as Pajek .net text (LF line endings, trailing newline)."""
+    """Render a graph as Pajek .net text (LF line endings, trailing newline), row by row."""
     nodes = graph.nodes()
     lines = [f"*Vertices {len(nodes)}"]
     lines += [f'{i} "{node.id}"' for i, node in enumerate(nodes, start=1)]
-    lines.append("*Arcs" if graph.directed else "*Edges")
-    lines += [f"{i + 1} {j + 1} {w}" for i, row in enumerate(graph.adjacency())
-              for j, w in row.items() if graph.directed or i < j]
-    return "\n".join(lines) + "\n"
+    lines += ["*Arcs" if graph.directed else "*Edges", ""]
+    rows = ("".join(f"{i + 1} {j + 1} {w}\n" for j, w in row.items() if graph.directed or i < j)
+            for i, row in enumerate(graph.rows()))
+    return "".join(["\n".join(lines), *rows])
 
 
 def infer_node(label: str) -> NodeRef:

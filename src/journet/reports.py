@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .communities import CommunityResult
 from .graph import Graph, NodeRef, adjacency_rows
@@ -36,7 +36,7 @@ def format_number(value) -> str:
     return f"{value:.12g}"
 
 
-def _csv_text(rows: Sequence[Sequence], header: Sequence[str]) -> str:
+def _csv_text(rows: Iterable[Sequence], header: Sequence[str]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -58,7 +58,7 @@ def metrics_csv(report: MetricsReport) -> str:
 
 def adjacency_report_csv(graph: Graph) -> str:
     """Per-node nearest-neighbour table: id, neighbour ids, degree, aux count."""
-    rows = [
+    rows = (
         (
             row.node.id,
             " ".join(str(n.id) for n in row.neighbours),
@@ -66,7 +66,7 @@ def adjacency_report_csv(graph: Graph) -> str:
             row.aux_count,
         )
         for row in adjacency_rows(graph)
-    ]
+    )
     return _csv_text(rows, ["node_id", "neighbour_ids", "degree", "aux_count"])
 
 

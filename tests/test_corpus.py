@@ -592,6 +592,32 @@ def test_load_rejects_list_that_repeats_an_entry(tmp_path, case):
         load_corpus(path)
 
 
+# A list field holding another JSON value in a hand-edited file, which a
+# converter would read as the characters or keys of that value.
+LIST_FIELDS = {
+    "author_ids": ("papers", 0, "paper_id v1n1p1"),
+    "pacs_codes": ("papers", 0, "paper_id v1n1p1"),
+    "reference_keys": ("papers", 1, "paper_id v1n2p1"),
+    "affiliation_ids": ("authors", 0, "author_id 10"),
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param(field, value, id=f"{field}={json.dumps(value)}")
+    for field, value in [*((field, value) for field in LIST_FIELDS for value in ("", {})),
+                         ("pacs_codes", "05.50.+q"), ("author_ids", "10"),
+                         ("affiliation_ids", 1), ("reference_keys", None)]
+])
+def test_load_rejects_list_field_that_is_not_a_list(tmp_path, field, value):
+    table, position, record = LIST_FIELDS[field]
+    path, header, payload = persisted_payload(tmp_path)
+    payload[table][position][field] = value
+    path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
+    message = f"corrupt corpus file: {record}: {field} is not a list"
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(message)}$"):
+        load_corpus(path)
+
+
 @pytest.mark.parametrize("edits, problem", [
     (dict(papers=PAPERS.replace("05.50.+q;64.60.Cn", "05.50.+q;64.60.Cn;05.50.+q")),
      "papers.csv:2: PACS code '05.50.+q' listed twice"),

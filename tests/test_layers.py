@@ -4,9 +4,12 @@ from itertools import combinations
 
 import pytest
 
+from journet import graph as graph_module
+from journet.cli import main
 from journet.communities import edge_betweenness, girvan_newman
 from journet.corpus import Corpus, load_corpus, persist_corpus, snapshot, validate_corpus
 from journet.graph import (
+    Graph,
     GraphError,
     NodeRef,
     adjacency_rows,
@@ -28,7 +31,7 @@ from journet.layers import (
 )
 from journet.metrics import clustering, degree_stats, metrics_report
 from journet.pajek import export_pajek, parse_pajek
-from journet.reports import adjacency_report_csv
+from journet.reports import adjacency_report_csv, degree_distribution_csv
 from journet.retrieval import DIRECTIONS, neighborhood, related_rank
 
 from conftest import make_authors, make_paper, random_corpus
@@ -569,3 +572,88 @@ def test_readers_leave_a_cached_layer_as_built(layer, seed):
             project_one_mode(g, kind)
     assert build_layer(corpus, layer) is g
     assert_same_layer(g, build_layer(fresh(corpus), layer))
+
+
+# A one-mode layer holds its groups and derives rows only when read.
+ONE_MODE_BUILDS = [*((layer, False) for layer in ONE_MODE), (Layer.COCITATION, True)]
+
+
+def one_mode_id(build):
+    layer, internal_only = build
+    return layer.value + ("-internal" if internal_only else "")
+
+
+def count_row_kernel(monkeypatch) -> list:
+    """Patch the graph's pair-count kernel to record the node of each row it derives."""
+    calls = []
+    kernel = graph_module._co_members
+
+    def counted(member, groups):
+        calls.append(member)
+        return kernel(member, groups)
+
+    monkeypatch.setattr(graph_module, "_co_members", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [91, 92, 93, 94])
+@pytest.mark.parametrize("build", ONE_MODE_BUILDS, ids=one_mode_id)
+def test_group_held_layer_reads_like_the_graph_of_its_links(build, seed):
+    g = build_layer(random_corpus(random.Random(seed)), *build)
+    degrees = [g.degree(node) for node in g.nodes()]  # from bitsets: no row derived yet
+    links = g.link_count
+    streamed = list(g.rows())
+    texts = export_pajek(g), adjacency_report_csv(g), degree_distribution_csv(degree_stats(g))
+    rows = build_graph(False, g.links(), isolated_nodes=g.nodes()).adjacency()
+    eager = Graph(False, g.nodes(), rows, aux=g.aux_counts)  # the adjacency report prints aux
+    assert streamed == list(rows) == list(g.adjacency())
+    assert degrees == [len(row) for row in rows] and links * 2 == sum(degrees)
+    assert texts == (export_pajek(eager), adjacency_report_csv(eager),
+                     degree_distribution_csv(degree_stats(eager)))
+    assert g == eager and g.link_count == links
+    assert [g.degree(node) for node in g.nodes()] == degrees  # now off the kept rows
+    assert_rows_ascending(g)
+
+
+@pytest.mark.parametrize("build", ONE_MODE_BUILDS, ids=one_mode_id)
+def test_writers_derive_each_row_once_and_keep_none(build, monkeypatch):
+    g = build_layer(random_corpus(random.Random(95)), *build)
+    calls = count_row_kernel(monkeypatch)
+    each_row = list(range(g.node_count))
+    text = export_pajek(g)
+    assert calls == each_row
+    report = adjacency_report_csv(g)
+    assert calls == 2 * each_row
+    g.adjacency()  # derives every row again, since neither writer kept one
+    assert calls == 3 * each_row
+    assert (export_pajek(g), adjacency_report_csv(g)) == (text, report)
+    assert g.adjacency() is g.adjacency() and len(calls) == 3 * g.node_count  # kept rows are read
+
+
+def persisted_random_corpus(tmp_path, seed) -> str:
+    path = tmp_path / "c.corpus"
+    persist_corpus(random_corpus(random.Random(seed)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("layer", ONE_MODE, ids=lambda layer: layer.value)
+def test_distribution_and_count_evolution_derive_no_rows(layer, monkeypatch, tmp_path):
+    corpus = persisted_random_corpus(tmp_path, 96)
+    calls = count_row_kernel(monkeypatch)
+    out = str(tmp_path / "out.csv")
+    assert main(["distribution", "--corpus", corpus, "--layer", layer.value, "--out", out]) == 0
+    for metric in ("node_count", "link_count", "mean_degree"):
+        argv = ["evolution", "--corpus", corpus, "--layer", layer.value, "--metric", metric]
+        assert main([*argv, "--out", out]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("layer", ONE_MODE, ids=lambda layer: layer.value)
+def test_pajek_export_from_the_cli_derives_each_row_once(layer, monkeypatch, tmp_path):
+    corpus = persisted_random_corpus(tmp_path, 97)
+    calls = count_row_kernel(monkeypatch)
+    out = tmp_path / "out.net"
+    assert main(["export", "--corpus", corpus, "--layer", layer.value, "--format", "pajek",
+                 "--out", str(out)]) == 0
+    vertices = int(out.read_text(encoding="utf-8").split()[1])
+    assert vertices > 0 and calls == list(range(vertices))

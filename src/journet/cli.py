@@ -16,7 +16,7 @@ from pathlib import Path
 from . import reports
 from .communities import community_of, girvan_newman
 from .corpus import TimeIndex, ingest_corpus, load_corpus, persist_corpus, snapshot
-from .graph import REFERENCE, NodeRef, reference_node
+from .graph import AUTHOR, REFERENCE, NodeRef, reference_node
 from .layers import Layer, build_layer, layer_from_token
 from .metrics import EVOLUTION_METRICS, degree_stats, evolution_series, metrics_report
 from .pajek import export_pajek, infer_node
@@ -57,8 +57,8 @@ def _node_for_layers(token: str, layers: list[Layer]) -> NodeRef:
     node = infer_node(token)
     if node.kind not in kinds:
         raise ValueError(
-            f"node id {token!r} looks like a {node.kind} id but the layers hold"
-            f" {', '.join(sorted(kinds))} nodes"
+            f"node id {token!r} looks like {'an' if node.kind == AUTHOR else 'a'} {node.kind} id"
+            f" but the layers hold {', '.join(sorted(kinds))} nodes"
         )
     return node
 

@@ -8,11 +8,11 @@ multiplicity: shared papers, shared codes, co-citations.  Each node's
 row is one dict from neighbour index to weight, its keys in ascending
 order.  The :class:`Graph` constructor is the one place that puts rows
 in that form: builders hand it rows in any key order, and it sorts them
-and derives a directed graph's in-rows, or derives a one-mode graph's
-rows from its groups with :func:`_co_members`, the one pair-count
-kernel.  A graph is immutable once built and every accessor returns
-data in canonical sorted order, so reports and exported files are
-reproducible byte for byte.
+and derives a directed graph's in-rows, or holds a one-mode graph's
+groups and derives each row from them with :func:`_co_members`, the one
+pair-count kernel, when it is read.  A graph is immutable once built and
+every accessor returns data in canonical sorted order, so reports and
+exported files are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ PACS = "pacs"
 REFERENCE = "reference"
 
 NODE_KINDS = (AUTHOR, PAPER, PACS, REFERENCE)
+
+DIRECTIONS = ("both", "out", "in")
 
 
 class GraphError(ValueError):
@@ -94,26 +96,23 @@ class Graph:
     rows of both its ends.  The constructor stores each row as a dict
     with keys ascending, so iterating a row gives canonical neighbour
     order, and derives a directed graph's in-arc rows from its out-rows.
-    An undirected one-mode graph may be given ``groups`` instead: member
-    index collections, each holding a node once, where two nodes link
-    once per group holding both.  Its degrees come from member bitsets;
-    :meth:`adjacency` derives and keeps its rows, :meth:`rows` keeps none.
+    An undirected one-mode graph may be given ``groups`` and ``held``
+    instead: member index lists, each holding a node once, where two
+    nodes link once per group holding both, and the groups holding each
+    node.  It keeps both as given, shared with the layer's index.  Its
+    degrees come from member bitsets; :meth:`adjacency` derives and keeps
+    its rows, while :meth:`rows` and :meth:`row` keep none.
     """
 
-    def __init__(self, directed, nodes, rows=None, aux=None, groups=None):
+    def __init__(self, directed, nodes, rows=None, aux=None, groups=None, held=None):
         self.directed = directed
         self._nodes = tuple(nodes)
         self._index = {node: i for i, node in enumerate(self._nodes)}
         self._aux = dict(aux) if aux else None
         self._symmetrized = self._degrees = self._out = self._arc_count = None
+        self._groups, self._held = groups, held
         if groups is None:
             self._keep(dict(sorted(row.items())) for row in rows)
-            return
-        self._groups = tuple(groups)
-        self._held = [[] for _ in self._nodes]  # node -> the indices of the groups holding it
-        for g, members in enumerate(self._groups):
-            for i in members:
-                self._held[i].append(g)
 
     def _keep(self, rows):
         """Store ascending out-rows and derive a directed graph's in-rows."""
@@ -169,42 +168,41 @@ class Graph:
         the same indices.  All three agree on an undirected graph.  The
         rows are the graph's own and shared: never mutate them.
         """
+        check_direction(direction)
         if direction == "both":
             return self.symmetrized().adjacency()
-        if self._out is None:  # the kept rows replace the groups
+        if self._out is None:
             self._keep(self.rows())
-            self._groups = self._held = None
-        return {"out": self._out, "in": self._in}[direction]
+        return self._out if direction == "out" else self._in
 
     def rows(self) -> Iterator[dict[int, int]]:
         """The out-rows of :meth:`adjacency` in index order; a group-held graph
         without kept rows derives each as it is reached and does not keep it."""
         if self._out is not None:
             return iter(self._out)
-        groups = self._groups  # adjacency() may drop it while the rows are read
-        return (dict(sorted(_co_members(i, map(groups.__getitem__, held)).items()))
-                for i, held in enumerate(self._held))
+        return (dict(sorted(self._group_row(i).items())) for i in range(len(self._nodes)))
 
-    def neighbors(self, node: NodeRef) -> list[NodeRef]:
-        """Sorted neighbours; out-neighbours for a directed graph."""
-        return [self._nodes[j] for j in self.adjacency()[self._index[node]]]
+    def row(self, node: NodeRef, direction: str = "out") -> dict[NodeRef, int]:
+        """{neighbour: weight} of one node in node order: its row of
+        :meth:`adjacency` for ``direction``.  A group-held graph derives the
+        row and keeps no rows; a directed graph's "both" merges the node's
+        out-row and in-row as :meth:`symmetrized` does."""
+        check_direction(direction)
+        i = self._index[node]
+        if self._out is None:
+            counts = self._group_row(i)
+        elif direction == "both" and self.directed:
+            counts = _merged(self._out[i], self._in[i])
+        else:
+            counts = (self._in if direction == "in" else self._out)[i]
+        nodes = self._nodes
+        return {nodes[j]: counts[j] for j in sorted(counts)}
 
-    def in_neighbors(self, node: NodeRef) -> list[NodeRef]:
-        return [self._nodes[j] for j in self.adjacency("in")[self._index[node]]]
-
-    def all_neighbors(self, node: NodeRef) -> list[NodeRef]:
-        """Out and in neighbours combined (identical to neighbors when undirected)."""
-        return [self._nodes[j] for j in self.adjacency("both")[self._index[node]]]
+    def _group_row(self, i: int) -> Counter:
+        return _co_members(i, map(self._groups.__getitem__, self._held[i]))
 
     def has_link(self, u: NodeRef, v: NodeRef) -> bool:
-        i, j = self._index.get(u), self._index.get(v)
-        return i is not None and j is not None and j in self.adjacency()[i]
-
-    def weight(self, u: NodeRef, v: NodeRef) -> int:
-        w = self.adjacency()[self._index[u]].get(self._index[v])
-        if w is None:
-            raise KeyError((u, v))
-        return w
+        return u in self._index and v in self.row(u)
 
     def degree(self, node: NodeRef) -> int:
         """Neighbour count; for directed graphs out-degree plus in-degree."""
@@ -230,9 +228,7 @@ class Graph:
         if not self.directed:
             return self
         if self._symmetrized is None:
-            rows = (row | {j: row.get(j, 0) + w for j, w in back.items()}
-                    for row, back in zip(self._out, self._in))
-            self._symmetrized = Graph(False, self._nodes, rows)
+            self._symmetrized = Graph(False, self._nodes, map(_merged, self._out, self._in))
         return self._symmetrized
 
     # -- comparison ----------------------------------------------------------
@@ -324,8 +320,8 @@ class AdjacencyRow:
     aux_count: int
 
 
-def adjacency_rows(graph: Graph) -> list[AdjacencyRow]:
-    """One row per node, sorted by node id, read through :meth:`Graph.rows`.
+def adjacency_rows(graph: Graph) -> Iterator[AdjacencyRow]:
+    """One row per node, sorted by node id, made as :meth:`Graph.rows` reaches it.
 
     For directed graphs the neighbour column is the union of out- and
     in-neighbours and the degree counts them once each.  The graph's own
@@ -333,10 +329,20 @@ def adjacency_rows(graph: Graph) -> list[AdjacencyRow]:
     """
     aux = graph.aux_counts
     nodes = graph.nodes()
-    return [
+    return (
         AdjacencyRow(node, tuple(nodes[j] for j in row), len(row), aux[node] if aux else 0)
         for node, row in zip(nodes, graph.symmetrized().rows())
-    ]
+    )
+
+
+def check_direction(direction: str) -> None:
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be 'out', 'in' or 'both', got {direction!r}")
+
+
+def _merged(row: dict[int, int], back: dict[int, int]) -> dict[int, int]:
+    """One node's out-row and in-row as one row; weights of opposite arcs add."""
+    return row | {j: row.get(j, 0) + w for j, w in back.items()}
 
 
 def _co_members(member, groups) -> Counter:

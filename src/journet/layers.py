@@ -1,24 +1,23 @@
 """Construction of every network layer a journal corpus supports.
 
-Every layer is read off one of five relations in the corpus: an author
-wrote a paper, a paper carries a PACS code, a paper cites a work or a
-journal paper, and an author on record uses a code in any of their
-papers.  A relation is the (left id, right id) pairs its records hold,
-which :func:`_ends` indexes both ways once per corpus.  One builder,
-:func:`_build`, turns that index into any layer: the bipartite layers
-and the citation layer hold a relation's links as they are, and a
-one-mode layer keeps one side of a relation and links two of its nodes
-once per node of the other side they share: its graph holds those
-groups and counts a row off them only when the row is read.
-:func:`build_layer` builds a layer once per corpus; :func:`_seed_row`
-reads one node's row off the same index.  :func:`project_one_mode`
-takes the groups off the rows of any two-kind graph, such as one read
-back from Pajek.
+Every layer is read off one of six relations in the corpus: an author
+wrote a paper, a paper carries a PACS code, a paper cites a work (or
+only works some paper cites by journal id) or a journal paper, and an
+author on record uses a code in any of their papers.  A relation is the
+(left id, right id) pairs its records hold, which :func:`_ends` numbers
+and indexes both ways once per corpus.  One builder, :func:`_build`,
+turns that index into any layer: the bipartite layers and the citation
+layer hold a relation's links as their rows, and a one-mode layer (a
+projection of the two-mode relation) keeps one side of it and links two
+of its nodes once per node of the other side they share.  Its graph
+holds those groups, shared with the index, and counts a row off them
+only when the row is read.  :func:`project_one_mode` takes the groups
+off the rows of any two-kind graph, such as one read back from Pajek.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -33,7 +32,6 @@ from .graph import (
     Graph,
     GraphError,
     NodeRef,
-    _co_members,
 )
 
 
@@ -69,7 +67,7 @@ class _Relation:
     ``pairs(corpus)`` gives the (left id, right id) pair of every link the
     records hold, a link as often as the records repeat it; ``keeps[s]``,
     if given, maps the corpus to the ids side ``s`` holds even without a
-    link.  :func:`_ends` indexes the pairs both ways.
+    link.  :func:`_ends` numbers the ids and indexes the pairs both ways.
     """
 
     kinds: tuple[str, str]
@@ -78,6 +76,15 @@ class _Relation:
 
 
 _AUTHORS, _PAPERS = attrgetter("authors"), attrgetter("papers")
+
+
+def _journal_work_citations(c: Corpus) -> Iterable[tuple]:
+    """Citations of the works that some paper cites by journal id."""
+    cited = {r.key for p in c.papers.values() for r in p.reference_keys
+             if r.internal_paper_id is not None}
+    return ((p.paper_id, r.key) for p in c.papers.values() for r in p.reference_keys
+            if r.key in cited)
+
 
 _WROTE = _Relation(
     (AUTHOR, PAPER),
@@ -100,6 +107,7 @@ _CITES_PAPER = _Relation(
                for r in p.reference_keys if r.internal_paper_id is not None),
     (_PAPERS, _PAPERS),
 )
+_CITES_JOURNAL_WORK = _Relation((PAPER, REFERENCE), _journal_work_citations, (_PAPERS, None))
 _USES_CODE = _Relation(  # authors on record only
     (AUTHOR, PACS),
     lambda c: ((a, k) for p in c.papers.values() for a in p.author_ids if a in c.authors
@@ -108,19 +116,33 @@ _USES_CODE = _Relation(  # authors on record only
 )
 
 
-def _ends(corpus: Corpus, relation: _Relation) -> tuple[dict, dict]:
-    """A relation's links indexed both ways: for each side, every id the
-    side holds, linked or kept, mapped to a tuple of its far ends, each
-    far end once however often the records repeat the link.  Built on
-    first call and kept in the corpus, like its layers."""
+def _ends(corpus: Corpus, relation: _Relation) -> tuple[tuple[list, list], tuple[list, list]]:
+    """A relation's links numbered and indexed both ways, as ``(ids, far)``.
+
+    ``ids[s]`` lists every id side ``s`` holds, linked or kept, in
+    ascending order, and id ``ids[s][i]`` is number ``i`` of its side; a
+    relation between nodes of one kind numbers both sides as one.
+    ``far[s][i]`` lists the numbers of that id's far ends, ascending, each
+    once however often the records repeat the link.  Built on first call
+    and kept in the corpus, like its layers, which share the lists.
+    """
     if relation not in corpus._memo:
-        index = [defaultdict(dict, {x: {} for x in keep(corpus)} if keep else ())
-                 for keep in relation.keeps]
-        left, right = index
+        left, right = (keep(corpus) if keep else () for keep in relation.keeps)
+        ends, held = defaultdict(dict, {x: {} for x in left}), set(right)
         for x, y in relation.pairs(corpus):
-            left[x][y] = None
-            right[y][x] = None
-        corpus._memo[relation] = tuple({x: tuple(ys) for x, ys in side.items()} for side in index)
+            ends[x][y] = None
+            held.add(y)
+        if relation.kinds[0] == relation.kinds[1]:
+            ids = (sorted(ends.keys() | held),) * 2
+        else:
+            ids = sorted(ends), sorted(held)
+        number = dict(zip(ids[1], range(len(ids[1]))))
+        far = ([sorted(map(number.__getitem__, ends.get(x, ()))) for x in ids[0]],
+               [[] for _ in ids[1]])
+        for i, row in enumerate(far[0]):  # i ascends, so each far[1] list does too
+            for j in row:
+                far[1][j].append(i)
+        corpus._memo[relation] = ids, far
     return corpus._memo[relation]
 
 
@@ -157,18 +179,20 @@ def project_one_mode(graph: Graph, kind: str) -> Graph:
         raise ValueError("cannot project a directed graph")
     nodes, rows = graph.nodes(), graph.adjacency()
     kept = [i for i, node in enumerate(nodes) if node.kind == kind]
+    other = [i for i, node in enumerate(nodes) if node.kind != kind]
     new = {i: k for k, i in enumerate(kept)}  # keeps node order, so the nodes stay sorted
+    group = {i: g for g, i in enumerate(other)}
     if any((i in new) == (j in new) for i, row in enumerate(rows) for j in row):
         raise ValueError(f"every link must have exactly one {kind} end")
-    groups = ([new[j] for j in row] for i, row in enumerate(rows) if i not in new)
-    return Graph(False, [nodes[i] for i in kept], groups=groups)
+    return Graph(False, [nodes[i] for i in kept], groups=[[new[j] for j in rows[i]] for i in other],
+                 held=[[group[j] for j in rows[i]] for i in kept])
 
 
 def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Graph:
     """The named layer of a corpus, built on first call.
 
     ``internal_only`` restricts the co-citation layer to cited works that
-    are themselves journal papers; other layers ignore the flag.
+    some paper cites by journal id; other layers ignore the flag.
     Citation arcs point from the citing paper to the cited one.
     Co-authorship carries each author's paper count as aux counts.
 
@@ -176,78 +200,47 @@ def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Gr
     symmetrized view once read, for as long as the corpus lives, and a
     later call returns the same graph.  A one-mode layer holds its
     groups, and its rows (millions of links on a dense layer of a
-    10^4-paper journal) only once ``adjacency()`` is read.  The graph
-    is shared, so it must never be mutated.
+    10^4-paper journal) only once ``adjacency()`` is read; ``row()``
+    reads one node's row without keeping any.  The graph is shared, so
+    it must never be mutated.
     """
-    key = layer, internal_only and layer is Layer.COCITATION
-    if key not in corpus._memo:
-        corpus._memo[key] = _build(corpus, *key)
-    return corpus._memo[key]
+    internal_only = internal_only and layer is Layer.COCITATION
+    if (layer, internal_only) not in corpus._memo:
+        relation = _CITES_JOURNAL_WORK if internal_only else _LAYERS[layer][0]
+        corpus._memo[layer, internal_only] = _build(corpus, layer, relation)
+    return corpus._memo[layer, internal_only]
 
 
-def _build(corpus: Corpus, layer: Layer, internal_only: bool) -> Graph:
-    """A layer read off its relation's :func:`_ends` index.
+def _build(corpus: Corpus, layer: Layer, relation: _Relation) -> Graph:
+    """A layer read off the :func:`_ends` index of ``relation``.
 
     The nodes are the ids of every side the layer keeps, linked or not,
     sorted by (kind, id), so each kind's ids take one run of indices.  A
-    link layer writes each left node's far ends into its row at weight 1,
-    and writes each link back into the far end's row unless the layer is
-    directed; a link from a node to itself raises GraphError.  A one-mode
-    layer's graph holds the far ends of each other-side node as a group.
-    ``internal_only`` keeps only cited works that some paper cites by
-    journal id; co-authorship counts each author's papers as aux.
+    link layer writes each side's far ends as that side's rows at weight
+    1, or only the left side's as out-rows if the layer is directed; a
+    link from a node to itself raises GraphError.  A one-mode layer's
+    graph holds the far ends of each other-side id as a group, and the
+    far ends of each of its own ids as the groups holding it.
+    Co-authorship counts each author's papers as aux.
     """
-    relation, side = _LAYERS[layer]
-    ends = _ends(corpus, relation)
-    ids = defaultdict(set)
-    for s in (0, 1) if side is None else (side,):
-        ids[relation.kinds[s]].update(ends[s])
-    groups = () if side is None else ends[1 - side].values()
-    if internal_only:
-        keep = {r.key for p in corpus.papers.values() for r in p.reference_keys
-                if r.internal_paper_id is not None}
-        ids[REFERENCE] &= keep
-        groups = (keep.intersection(g) for g in groups)
-    nodes, index = [], {}
-    for kind in sorted(ids):
-        index[kind] = {x: i for i, x in enumerate(sorted(ids[kind]), len(nodes))}
-        nodes += (NodeRef(kind, x) for x in index[kind])
-    if side is None:
-        (left, right), rows = relation.kinds, [{} for _ in nodes]
-        at, to = index[left], index[right]
-        for x, ys in ends[0].items():
-            a = at[x]
-            row = rows[a] = {to[y]: 1 for y in ys}
-            if a in row:
-                raise GraphError(f"self-loop rejected: ({NodeRef(left, x)}, {NodeRef(right, x)})")
-            if not layer.directed:
-                for b in row:
-                    rows[b][a] = 1
-        return Graph(layer.directed, nodes, rows)
-    at = index[relation.kinds[side]]
-    aux = layer is Layer.COAUTHORSHIP and {node: len(ends[0][node.id]) for node in nodes}
-    return Graph(False, nodes, aux=aux, groups=([at[x] for x in group] for group in groups))
-
-
-def _seed_row(corpus: Corpus, layer: Layer, seed: NodeRef, direction: str) -> tuple[str, dict]:
-    """The kind of the seed's neighbours in one layer, and their ids with
-    link weights, read off the layer's relation: co-members of the groups
-    holding the seed, or the far ends of its links (``direction`` picks
-    citation arcs; both ways add)."""
-    relation, side = _LAYERS[layer]
-    ends = _ends(corpus, relation)
-    sides = [s for s in (0, 1) if relation.kinds[s] == seed.kind and side in (None, s)]
-    if not any(seed.id in ends[s] for s in sides):
-        raise ValueError(f"seed node {seed} is not in the graph")
+    side, kinds = _LAYERS[layer][1], relation.kinds
+    ids, far = _ends(corpus, relation)
     if side is not None:
-        groups = [ends[1 - side][g] for g in ends[side][seed.id]]
-        return seed.kind, _co_members(seed.id, groups)
-    if layer.directed:
-        sides = {"out": [0], "in": [1], "both": [0, 1]}[direction]
-    row = Counter()
-    for s in sides:
-        row.update(ends[s].get(seed.id, ()))
-    return relation.kinds[1 - sides[0]], row
+        nodes = [NodeRef(kinds[side], x) for x in ids[side]]
+        aux = layer is Layer.COAUTHORSHIP and {node: len(ends) for node, ends in zip(nodes, far[0])}
+        return Graph(False, nodes, aux=aux, groups=far[1 - side], held=far[side])
+    if layer.directed:  # one kind, numbered once
+        sides, start = (0,), (0, 0)
+    else:
+        sides = sorted((0, 1), key=kinds.__getitem__)
+        start = [0, 0]
+        start[sides[1]] = len(ids[sides[0]])
+    nodes = [NodeRef(kinds[s], x) for s in sides for x in ids[s]]
+    rows = [{start[1 - s] + j: 1 for j in ends} for s in sides for ends in far[s]]
+    for i, row in enumerate(rows):
+        if i in row:
+            raise GraphError(f"self-loop rejected: ({nodes[i]}, {nodes[i]})")
+    return Graph(layer.directed, nodes, rows)
 
 
 def layer_from_token(token: str) -> Layer:

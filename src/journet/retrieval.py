@@ -4,20 +4,20 @@ A neighborhood is the exact BFS ball of a given radius around a seed
 node in a built layer.  Overlap queries intersect the direct neighbours
 of a seed across several layers; ranking orders every node adjacent in
 at least one layer by how many layers agree, then by total link weight.
-Both read only the seed's own row of each layer, straight from the
-corpus, and build no layer.
+Both read the seed's own row of each layer through the layer's graph,
+which ``build_layer`` builds once per corpus; a one-mode layer derives
+that one row from its groups and keeps no rows.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus
-from .graph import Graph, NodeRef, bfs
-from .layers import Layer, _seed_row
-
-DIRECTIONS = ("both", "out", "in")
+from .graph import DIRECTIONS, Graph, NodeRef, bfs, check_direction
+from .layers import Layer, build_layer
 
 
 @dataclass
@@ -39,8 +39,6 @@ def neighborhood(
         raise ValueError(f"seed node {seed} is not in the graph")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     nodes = graph.nodes()
     _, dist = bfs(graph.adjacency(direction), graph.index(seed), depth)
     return NeighborhoodResult(seed, depth, {nodes[v]: d for v, d in dist.items() if d})
@@ -62,8 +60,7 @@ class RelatedItem(NamedTuple):
 
 def _check_query(seed: NodeRef, layers: Sequence[Layer], direction: str) -> tuple[Layer, ...]:
     """Validate a multi-layer query; repeated layers collapse to one."""
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    check_direction(direction)
     deduped = tuple(dict.fromkeys(layers))
     if len(deduped) < 2:
         raise ValueError("need at least two distinct layers to compare")
@@ -76,6 +73,15 @@ def _check_query(seed: NodeRef, layers: Sequence[Layer], direction: str) -> tupl
     return deduped
 
 
+def _seed_rows(corpus: Corpus, seed: NodeRef, layers: tuple[Layer, ...], direction: str):
+    """Each layer with the seed's row in it: {neighbour: weight}."""
+    for layer in layers:
+        graph = build_layer(corpus, layer)
+        if not graph.has_node(seed):
+            raise ValueError(f"seed node {seed} is not in the graph")
+        yield layer, graph.row(seed, direction)
+
+
 def layer_overlap(
     corpus: Corpus,
     seed: NodeRef,
@@ -84,10 +90,8 @@ def layer_overlap(
 ) -> OverlapResult:
     """Nodes directly related to the seed in every one of the given layers."""
     layers = _check_query(seed, tuple(layers), citation_direction)
-    rows = {layer: _seed_row(corpus, layer, seed, citation_direction) for layer in layers}
-    per_layer = {
-        layer: frozenset(NodeRef(kind, x) for x in row) for layer, (kind, row) in rows.items()
-    }
+    rows = _seed_rows(corpus, seed, layers, citation_direction)
+    per_layer = {layer: frozenset(row) for layer, row in rows}
     common = frozenset.intersection(*per_layer.values())
     return OverlapResult(seed, layers, per_layer, common)
 
@@ -104,14 +108,9 @@ def related_rank(
     the id tie-break makes the order total.
     """
     layers = _check_query(seed, tuple(layers), citation_direction)
-    # keyed by plain (kind, id) tuples, which equal and sort as the NodeRefs they become
-    counts: dict[tuple, int] = {}
-    weights: dict[tuple, int] = {}
-    for layer in layers:
-        kind, row = _seed_row(corpus, layer, seed, citation_direction)
-        for x, w in row.items():
-            key = kind, x
-            counts[key] = counts.get(key, 0) + 1
-            weights[key] = weights.get(key, 0) + w
-    order = sorted((-count, -weights[key], key) for key, count in counts.items())
-    return [RelatedItem(NodeRef(*key), -count, -weight) for count, weight, key in order]
+    counts, weights = Counter(), Counter()
+    for _, row in _seed_rows(corpus, seed, layers, citation_direction):
+        counts.update(row.keys())
+        weights.update(row)
+    order = sorted((-count, -weights[node], node) for node, count in counts.items())
+    return [RelatedItem(node, -count, -weight) for count, weight, node in order]

@@ -70,7 +70,7 @@ def test_criterion_2_projection_against_brute_force():
             bip = random_bipartite(rng, rng.randint(1, 20), rng.randint(1, 20), 0.2)
             kind = rng.choice(["author", "paper"])
             nodes = [n for n in bip.nodes() if n.kind == kind]
-            counterparts = {u: set(bip.neighbors(u)) for u in nodes}
+            counterparts = {u: set(bip.row(u)) for u in nodes}
             expected = brute_projection(nodes, counterparts)
             actual = {(u, v): w for u, v, w in project_one_mode(bip, kind).links()}
             assert actual == expected
@@ -81,7 +81,7 @@ def test_criterion_3_metrics_against_oracles():
         for seed in range(50):
             rng = random.Random(1000 + seed)
             g = random_graph(rng, rng.randint(2, 50), rng.uniform(0.05, 0.25))
-            neighbor_sets = {v: set(g.neighbors(v)) for v in g.nodes()}
+            neighbor_sets = {v: set(g.row(v)) for v in g.nodes()}
             expected_c = triangle_clustering(neighbor_sets)
             actual_c = clustering(g).per_node
             assert set(actual_c) == set(expected_c)
@@ -98,7 +98,7 @@ def test_criterion_4_divisive_communities_desk_scale(two_triangle_graph):
     with criterion(4, "two-triangle bridge communities", 1.0):
         scores = edge_betweenness(two_triangle_graph)
         oracle = enumerate_edge_betweenness(
-            {v: set(two_triangle_graph.neighbors(v)) for v in two_triangle_graph.nodes()}
+            {v: set(two_triangle_graph.row(v)) for v in two_triangle_graph.nodes()}
         )
         for edge, value in oracle.items():
             assert scores[edge] == value

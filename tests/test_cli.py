@@ -139,7 +139,7 @@ def test_bipartite_layer_reads_kind_prefixed_node(tmp_path, capsys):
     argv = ["neighbors", "--corpus", str(corpus), "--layer", "bipartite-paper-reference",
             "--depth", "1", "--node"]
     assert main(argv + ["1990"]) == 2
-    assert "looks like a author id" in capsys.readouterr().err
+    assert "looks like an author id" in capsys.readouterr().err
     code = main(argv + ["reference:1990"])
     captured = capsys.readouterr()
     assert code == 0, captured.err

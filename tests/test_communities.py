@@ -53,7 +53,7 @@ def test_betweenness_two_triangle_bridge(two_triangle_graph):
     assert scores[(n(1), n(3))] == pytest.approx(4.0)
     assert scores[(n(1), n(2))] == pytest.approx(1.0)
     expected = enumerate_edge_betweenness(
-        {v: set(two_triangle_graph.neighbors(v)) for v in two_triangle_graph.nodes()}
+        {v: set(two_triangle_graph.row(v)) for v in two_triangle_graph.nodes()}
     )
     for edge, score in expected.items():
         assert scores[edge] == pytest.approx(score)
@@ -86,7 +86,7 @@ def test_tree_betweenness_is_side_product():
         scores = edge_betweenness(tree)
         for (u, v), score in scores.items():
             # drop the edge, count the two sides
-            adj = {x: set(tree.neighbors(x)) for x in tree.nodes()}
+            adj = {x: set(tree.row(x)) for x in tree.nodes()}
             adj[u].discard(v)
             adj[v].discard(u)
             stack, seen = [u], {u}
@@ -114,7 +114,7 @@ def test_tree_betweenness_sums_to_total_path_length():
 def test_betweenness_matches_exhaustive_enumeration_random():
     for seed in range(6):
         g = random_graph(random.Random(200 + seed), 12, 0.3)
-        neighbor_sets = {v: set(g.neighbors(v)) for v in g.nodes()}
+        neighbor_sets = {v: set(g.row(v)) for v in g.nodes()}
         expected = enumerate_edge_betweenness(neighbor_sets)
         actual = edge_betweenness(g)
         assert set(actual) == set(expected)
@@ -129,7 +129,7 @@ def test_betweenness_is_additive_over_components():
     for seed in range(8):
         g = random_graph(random.Random(600 + seed), 30, 0.06)
         scores = edge_betweenness(g)
-        expected = enumerate_edge_betweenness({v: set(g.neighbors(v)) for v in g.nodes()})
+        expected = enumerate_edge_betweenness({v: set(g.row(v)) for v in g.nodes()})
         assert set(scores) == set(expected)
         for edge, score in expected.items():
             assert scores[edge] == pytest.approx(score, abs=1e-9)

@@ -30,7 +30,7 @@ def test_basic_degrees():
 def test_duplicate_links_aggregate():
     g = build_graph(False, [(A, B, 1), (A, B, 2)])
     assert g.link_count == 1
-    assert g.weight(A, B) == 3
+    assert g.row(A)[B] == 3
     # order of endpoints does not matter for undirected aggregation
     g2 = build_graph(False, [(A, B, 1), (B, A, 2)])
     assert g == g2
@@ -51,7 +51,7 @@ def test_bad_weight_rejected():
 def test_isolated_nodes_kept():
     g = build_graph(False, [(A, B, 1)], isolated_nodes=[C])
     assert g.has_node(C)
-    assert g.neighbors(C) == []
+    assert g.row(C) == {}
 
 
 def test_node_kind_id_type_checked():
@@ -67,12 +67,12 @@ def test_directed_arcs_and_symmetrize():
     p, q = paper_node("v1n1p1"), paper_node("v1n1p2")
     g = build_graph(True, [(p, q, 1), (q, p, 2)])
     assert g.link_count == 2
-    assert g.neighbors(p) == [q]
-    assert g.in_neighbors(p) == [q]
+    assert list(g.row(p)) == [q]
+    assert list(g.row(p, "in")) == [q]
     assert g.degree(p) == 2
     sym = g.symmetrized()
     assert not sym.directed
-    assert sym.weight(p, q) == 3
+    assert sym.row(p)[q] == 3
     assert sym.link_count == 1
 
 
@@ -209,17 +209,32 @@ def test_constructor_sorts_rows_and_derives_in_rows(seed):
     assert_rows_ascending(undirected)
 
 
-def test_weight_of_missing_link_raises_key_error_naming_the_pair():
-    p, q = paper_node("v1n1p1"), paper_node("v1n1p2")
+def test_row_holds_each_link_once_by_direction():
+    p, q, r = paper_node("v1n1p1"), paper_node("v1n1p2"), paper_node("v1n1p3")
     undirected = build_graph(False, [(A, B, 1)], isolated_nodes=[C])
-    with pytest.raises(KeyError) as err:
-        undirected.weight(A, C)
-    assert err.value.args == ((A, C),)
-    directed = build_graph(True, [(p, q, 2)])
-    assert directed.weight(p, q) == 2
-    with pytest.raises(KeyError) as err:
-        directed.weight(q, p)
-    assert err.value.args == ((q, p),)
+    assert [undirected.row(A, d) for d in ("out", "in", "both")] == [{B: 1}] * 3
+    assert undirected.row(C) == {}
+    directed = build_graph(True, [(p, q, 2), (q, p, 1), (r, p, 4)])
+    assert directed.row(p) == {q: 2}
+    assert directed.row(p, "in") == {q: 1, r: 4}
+    assert directed.row(p, "both") == {q: 3, r: 4}
+    assert list(directed.row(p, "both")) == [q, r]  # node order, though r's arc came last
+    assert directed.row(r) == {p: 4} and directed.row(r, "in") == {}
+    with pytest.raises(KeyError):
+        directed.row(paper_node("v9n9p9"))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_bad_direction_is_rejected_by_name(directed):
+    p, q = paper_node("v1n1p1"), paper_node("v1n1p2")
+    graphs = [build_graph(directed, [(p, q, 1)])]
+    if not directed:  # and a group-held graph, which reads no direction of its own
+        graphs.append(build_layer(random_corpus(random.Random(5)), Layer.PAPER_COMMON_PACS))
+    for g in graphs:
+        seed = g.nodes()[0]
+        for read in (lambda: g.adjacency("sideways"), lambda: g.row(seed, "sideways")):
+            with pytest.raises(ValueError, match="'out', 'in' or 'both', got 'sideways'"):
+                read()
 
 
 def test_has_link_unknown_node_and_reversed_arc():

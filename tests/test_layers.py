@@ -32,7 +32,7 @@ from journet.layers import (
 from journet.metrics import clustering, degree_stats, metrics_report
 from journet.pajek import export_pajek, parse_pajek
 from journet.reports import adjacency_report_csv, degree_distribution_csv
-from journet.retrieval import DIRECTIONS, neighborhood, related_rank
+from journet.retrieval import DIRECTIONS, layer_overlap, neighborhood, related_rank
 
 from conftest import make_authors, make_paper, random_corpus
 from oracles import brute_projection
@@ -60,8 +60,8 @@ def test_bipartite_author_paper_links():
 
 def test_bipartite_paper_without_codes_is_isolated():
     g = build_layer(small_corpus(), Layer.BIPARTITE_PAPER_PACS)
-    assert g.neighbors(paper_node("v1n1p2")) == []
-    assert g.neighbors(paper_node("v1n1p1")) == [pacs_node("05.50.+q")]
+    assert g.row(paper_node("v1n1p2")) == {}
+    assert g.row(paper_node("v1n1p1")) == {pacs_node("05.50.+q"): 1}
 
 
 def test_bipartite_links_match_record_scan():
@@ -85,8 +85,8 @@ def test_projection_schematic_case():
     ]
     corpus = Corpus(papers, make_authors([1, 2, 3]))
     g = build_layer(corpus, Layer.COAUTHORSHIP)
-    assert g.weight(author_node(1), author_node(2)) == 1
-    assert g.weight(author_node(2), author_node(3)) == 1
+    assert g.row(author_node(1))[author_node(2)] == 1
+    assert g.row(author_node(2))[author_node(3)] == 1
     assert not g.has_link(author_node(1), author_node(3))
 
 
@@ -97,7 +97,7 @@ def test_projection_weight_counts_shared_nodes():
     ]
     corpus = Corpus(papers, make_authors([1, 2]))
     g = build_layer(corpus, Layer.PAPER_COMMON_AUTHOR)
-    assert g.weight(paper_node("v1n1p1"), paper_node("v1n1p2")) == 2
+    assert g.row(paper_node("v1n1p1"))[paper_node("v1n1p2")] == 2
 
 
 def random_bipartite(rng, n_left, n_right, p):
@@ -117,7 +117,7 @@ def test_projection_matches_brute_force(seed):
     bip = random_bipartite(rng, rng.randint(1, 20), rng.randint(1, 20), 0.2)
     for kind in ("author", "paper"):
         nodes = [n for n in bip.nodes() if n.kind == kind]
-        counterparts = {u: set(bip.neighbors(u)) for u in nodes}
+        counterparts = {u: set(bip.row(u)) for u in nodes}
         expected = brute_projection(nodes, counterparts)
         g = project_one_mode(bip, kind)
         actual = {(u, v): w for u, v, w in g.links()}
@@ -177,7 +177,7 @@ def test_cocitation_clique_from_one_reference_list():
     corpus = Corpus(papers, make_authors([1]))
     g = build_layer(corpus, Layer.COCITATION)
     for a, b in combinations(["x", "y", "z"], 2):
-        assert g.weight(reference_node(a), reference_node(b)) == 1
+        assert g.row(reference_node(a))[reference_node(b)] == 1
 
 
 def test_coupling_shared_reference():
@@ -187,7 +187,7 @@ def test_coupling_shared_reference():
     ]
     corpus = Corpus(papers, make_authors([1, 2]))
     g = build_layer(corpus, Layer.COUPLING)
-    assert g.weight(paper_node("v1n1p1"), paper_node("v1n1p2")) == 1
+    assert g.row(paper_node("v1n1p1"))[paper_node("v1n1p2")] == 1
 
 
 def test_cocitation_internal_only_flag(triple_relation_corpus):
@@ -205,7 +205,7 @@ def test_author_common_pacs_composes_through_papers():
     ]
     corpus = Corpus(papers, make_authors([1, 2, 3]))
     g = build_layer(corpus, Layer.AUTHOR_COMMON_PACS)
-    assert g.weight(author_node(1), author_node(2)) == 1
+    assert g.row(author_node(1))[author_node(2)] == 1
     assert not g.has_link(author_node(1), author_node(3))
 
 
@@ -243,7 +243,7 @@ def test_layers_are_loop_free_and_symmetric():
         for u, v, _ in g.links():
             assert u != v
             if not g.directed:
-                assert g.weight(v, u) == g.weight(u, v)
+                assert g.row(v)[u] == g.row(u)[v]
 
 
 def test_build_layer_deterministic():
@@ -352,7 +352,8 @@ def test_repeated_author_counts_once_in_indexes_links_and_aux():
     papers = [make_paper("v1n1p1", [10, 10, 11]), make_paper("v1n1p2", [10, 12])]
     corpus = Corpus(papers, make_authors([10, 11]))
     wrote = _LAYERS[Layer.COAUTHORSHIP][0]
-    assert _ends(corpus, wrote)[0] == {10: ("v1n1p1", "v1n1p2"), 11: ("v1n1p1",), 12: ("v1n1p2",)}
+    assert _ends(corpus, wrote) == (([10, 11, 12], ["v1n1p1", "v1n1p2"]),
+                                    ([[0, 1], [0], [1]], [[0, 1], [0, 2]]))
     g = build_layer(corpus, Layer.COAUTHORSHIP)
     assert {node.id: count for node, count in g.aux_counts.items()} == {10: 2, 11: 1, 12: 1}
     assert [(row.node.id, row.aux_count) for row in adjacency_rows(g)] == [(10, 2), (11, 1), (12, 1)]
@@ -472,9 +473,10 @@ def test_relation_ends_list_each_far_end_once(corpus_id, tmp_path):
 
 
 def assert_ends_match_scan(corpus):
-    """Every relation's index, both ways, against a scan of the records:
-    each id the side lists or links, each far end once, and a listed id
-    without links with no ends; built once and then kept."""
+    """Every relation's numbered index against a scan of the records: each
+    side's ids ascending, every id the side lists or links (one numbering
+    for a relation within one kind), each far end once and ascending, and
+    the two sides inverse to each other; built once and then kept."""
     relations = list(dict.fromkeys(relation for relation, _ in _LAYERS.values()))
     scan = relation_scan(corpus)
     assert sorted(relation.kinds for relation in relations) == sorted(scan)
@@ -482,20 +484,25 @@ def assert_ends_match_scan(corpus):
         links, *listed = scan[relation.kinds]
         index = _ends(corpus, relation)
         assert _ends(corpus, relation) is index
+        ids, far = index
+        held = [listed[s] | {link[s] for link in links} for s in (0, 1)]
+        if relation.kinds[0] == relation.kinds[1]:
+            held = [held[0] | held[1]] * 2
         for side in (0, 1):
-            expected = {x: set() for x in listed[side]}
-            for link in links:
-                expected.setdefault(link[side], set()).add(link[1 - side])
-            assert {x: set(ends) for x, ends in index[side].items()} == expected
-            for x, ends in index[side].items():
-                assert type(ends) is tuple and len(ends) == len(set(ends)), (relation.kinds, side, x)
+            assert ids[side] == sorted(held[side]), (relation.kinds, side)
+            assert len(far[side]) == len(ids[side])
+            for ends in far[side]:
+                assert ends == sorted(set(ends)), (relation.kinds, side)
+        forward = [(i, j) for i, ends in enumerate(far[0]) for j in ends]
+        assert sorted((i, j) for j, ends in enumerate(far[1]) for i in ends) == forward
+        assert {(ids[0][i], ids[1][j]) for i, j in forward} == links
     assert indexed(corpus) == relations
 
 
 def test_messy_citation_layer_keeps_the_dangling_target():
     g = build_layer(messy_corpus(), Layer.PAPER_CITATION)
     lost = paper_node("v9n9p9")
-    assert g.has_node(lost) and g.neighbors(lost) == [] and len(g.in_neighbors(lost)) == 1
+    assert g.has_node(lost) and g.row(lost) == {} and len(g.row(lost, "in")) == 1
 
 
 def test_self_citing_paper_is_rejected_on_citation_layer():
@@ -657,3 +664,32 @@ def test_pajek_export_from_the_cli_derives_each_row_once(layer, monkeypatch, tmp
                  "--out", str(out)]) == 0
     vertices = int(out.read_text(encoding="utf-8").split()[1])
     assert vertices > 0 and calls == list(range(vertices))
+
+
+@pytest.mark.parametrize("corpus_id", ["random-101", "random-102", "random-103", "messy"])
+def test_row_equals_the_kept_row_of_a_second_build(corpus_id):
+    built, kept = named_corpus(corpus_id), named_corpus(corpus_id)
+    for layer in Layer:
+        g, expected = build_layer(built, layer), build_layer(kept, layer)
+        nodes = expected.nodes()
+        assert g.nodes() == nodes
+        for direction in DIRECTIONS:
+            for node, row in zip(nodes, expected.adjacency(direction)):
+                assert list(g.row(node, direction).items()) == [(nodes[j], w) for j, w in row.items()]
+        if _LAYERS[layer][1] is not None:
+            assert g._out is None, layer  # each row was derived and none kept
+
+
+def test_retrieval_leaves_one_mode_layers_group_held(monkeypatch):
+    corpus = random_corpus(random.Random(104))
+    layers = [Layer.COUPLING, Layer.PAPER_COMMON_PACS]
+    calls = count_row_kernel(monkeypatch)
+    for i, pid in enumerate(sorted(corpus.papers)):
+        related_rank(corpus, paper_node(pid), layers)
+        layer_overlap(corpus, paper_node(pid), layers)
+        assert calls[-4:] == [i] * 4  # the seed's row in each layer, each query
+    for layer in layers:
+        g, expected = build_layer(corpus, layer), build_layer(fresh(corpus), layer).adjacency()
+        calls.clear()
+        assert list(g.rows()) == list(expected)
+        assert calls == list(range(g.node_count))  # no row was kept: each is derived again

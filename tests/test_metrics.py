@@ -85,7 +85,7 @@ def test_clustering_triangle_and_path():
 def test_clustering_matches_triangle_enumeration():
     for seed in range(10):
         g = random_graph(random.Random(seed), 50, 0.12)
-        neighbor_sets = {v: set(g.neighbors(v)) for v in g.nodes()}
+        neighbor_sets = {v: set(g.row(v)) for v in g.nodes()}
         expected = triangle_clustering(neighbor_sets)
         stats = clustering(g)
         for v, c in expected.items():
@@ -127,7 +127,7 @@ def test_bfs_matches_floyd_warshall():
 
     for seed in range(8):
         g = random_graph(random.Random(40 + seed), 40, 0.08)
-        neighbor_sets = {v: set(g.neighbors(v)) for v in g.nodes()}
+        neighbor_sets = {v: set(g.row(v)) for v in g.nodes()}
         expected = floyd_warshall(neighbor_sets)
         for source in g.nodes():
             dist = bfs_distances(g, source)
@@ -153,7 +153,7 @@ def oracle_path_stats(neighbor_sets):
 
 
 def assert_exact_against_oracles(g):
-    neighbor_sets = {v: set(g.all_neighbors(v)) for v in g.nodes()}
+    neighbor_sets = {v: set(g.row(v, "both")) for v in g.nodes()}
     assert path_stats(g) == oracle_path_stats(neighbor_sets)
     stats = clustering(g)
     expected = triangle_clustering(neighbor_sets)
@@ -266,7 +266,7 @@ def test_directed_layer_report_symmetrizes_paths(triple_relation_corpus):
 def test_directed_out_degree_sum_is_arc_count():
     corpus = random_corpus(random.Random(81))
     g = build_layer(corpus, Layer.PAPER_CITATION)
-    assert sum(len(g.neighbors(v)) for v in g.nodes()) == g.link_count
+    assert sum(len(g.row(v)) for v in g.nodes()) == g.link_count
     assert sum(g.degree(v) for v in g.nodes()) == 2 * g.link_count
 
 
@@ -340,7 +340,7 @@ def test_evolution_equals_full_report_and_oracles(layer):
                 assert repr(value) == repr(getattr(metrics_report(graphs[t]), metric))
         values = {m: dict(s.points) for m, s in series.items()}
         for t, g in graphs.items():
-            nbrs = {v: set(g.all_neighbors(v)) for v in g.nodes()}
+            nbrs = {v: set(g.row(v, "both")) for v in g.nodes()}
             per_node = triangle_clustering(nbrs)
             assert values["mean_clustering"][t] == pytest.approx(
                 sum(per_node.values()) / len(per_node), abs=1e-12)

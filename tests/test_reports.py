@@ -40,7 +40,7 @@ def test_adjacency_report_matches_rows():
     g = build_layer(corpus, Layer.COAUTHORSHIP)
     text = adjacency_report_csv(g)
     lines = text.strip().split("\n")[1:]
-    rows = adjacency_rows(g)
+    rows = list(adjacency_rows(g))
     assert len(lines) == len(rows)
     for line, row in zip(lines, rows):
         cells = line.split(",")

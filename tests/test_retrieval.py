@@ -5,8 +5,8 @@ from itertools import combinations, permutations
 import pytest
 
 from journet.corpus import Corpus, ReferenceKey
-from journet.graph import NODE_KINDS, NodeRef, author_node, build_graph, paper_node
-from journet.layers import Layer, _seed_row, build_layer
+from journet.graph import NODE_KINDS, author_node, build_graph, paper_node
+from journet.layers import Layer, build_layer
 from journet.retrieval import DIRECTIONS, RelatedItem, layer_overlap, neighborhood, related_rank
 
 from conftest import make_authors, make_paper, random_corpus, random_graph
@@ -27,7 +27,7 @@ def test_neighborhood_depth1_equals_adjacency(quartet_corpus):
     g = build_layer(quartet_corpus, Layer.COAUTHORSHIP)
     result = neighborhood(g, n(3672), 1)
     assert result.members == {n(3671): 1, n(3673): 1, n(3674): 1}
-    assert sorted(result.members) == g.neighbors(n(3672))
+    assert sorted(result.members) == list(g.row(n(3672)))
 
 
 def test_neighborhood_depth1_equals_adjacency_rows_directed(triple_relation_corpus):
@@ -61,7 +61,7 @@ def test_neighborhood_direction_flags():
 def test_neighborhood_matches_distance_matrix():
     for seed in range(5):
         g = random_graph(random.Random(400 + seed), 30, 0.1)
-        neighbor_sets = {v: set(g.neighbors(v)) for v in g.nodes()}
+        neighbor_sets = {v: set(g.row(v)) for v in g.nodes()}
         dist = floyd_warshall(neighbor_sets)
         for source in list(g.nodes())[:6]:
             for depth in (1, 2, 3):
@@ -138,9 +138,9 @@ def test_overlap_matches_brute_force_intersection():
     for pid in sorted(corpus.papers)[:8]:
         seed = paper_node(pid)
         result = layer_overlap(corpus, seed, layers)
-        expected = set(graphs[layers[0]].neighbors(seed))
+        expected = set(graphs[layers[0]].row(seed))
         for layer in layers[1:]:
-            expected &= set(graphs[layer].neighbors(seed))
+            expected &= set(graphs[layer].row(seed))
         assert result.common == expected
 
 
@@ -182,12 +182,10 @@ def test_rank_matches_brute_force_recomputation():
         items = related_rank(corpus, seed, layers)
         expected = {}
         for layer, g in graphs.items():
+            nbrs = dict(g.row(seed))
             if g.directed:
-                nbrs = {v: g.weight(seed, v) for v in g.neighbors(seed)}
-                for v in g.in_neighbors(seed):
-                    nbrs[v] = nbrs.get(v, 0) + g.weight(v, seed)
-            else:
-                nbrs = {v: g.weight(seed, v) for v in g.neighbors(seed)}
+                for v, w in g.row(seed, "in").items():
+                    nbrs[v] = nbrs.get(v, 0) + w
             for v, w in nbrs.items():
                 count, total = expected.get(v, (0, 0))
                 expected[v] = (count + 1, total + w)
@@ -233,24 +231,23 @@ def messy_corpus():
 
 
 def built_row(graph, seed, direction):
-    """The seed's neighbours and weights, read off a built layer."""
-    row = {}
-    if not graph.directed or direction != "in":
-        for v in graph.neighbors(seed):
-            row[v] = row.get(v, 0) + graph.weight(seed, v)
-    if graph.directed and direction != "out":
-        for v in graph.in_neighbors(seed):
-            row[v] = row.get(v, 0) + graph.weight(v, seed)
-    return row
+    """The seed's neighbours and weights, read off a layer's kept rows."""
+    nodes = graph.nodes()
+    return {nodes[j]: w for j, w in graph.adjacency(direction)[graph.index(seed)].items()}
+
+
+def named_journal(corpus_id):
+    """A test journal by name: "random-<seed>" or "messy"."""
+    if corpus_id == "messy":
+        return messy_corpus()
+    return random_corpus(random.Random(int(corpus_id.split("-")[1])))
 
 
 @pytest.mark.parametrize("corpus_id", ["random-41", "random-42", "messy"])
 def test_seed_rows_equal_built_rows(corpus_id):
-    if corpus_id == "messy":
-        corpus = messy_corpus()
-    else:
-        corpus = random_corpus(random.Random(int(corpus_id.split("-")[1])))
-    graphs = {layer: build_layer(corpus, layer) for layer in Layer}
+    corpus = named_journal(corpus_id)
+    # the expected rows come from a second corpus, so retrieval's own layers keep no rows
+    graphs = {layer: build_layer(named_journal(corpus_id), layer) for layer in Layer}
     ghost = paper_node("v8n8p8")
     for kind in NODE_KINDS:
         layers = [layer for layer in Layer if kind in layer.node_kinds]
@@ -288,29 +285,40 @@ def test_seed_row_finds_an_author_without_a_record():
     paper = next(p for p in corpus.papers.values() if 555 in p.author_ids)
     ghost = author_node(555)
     assert 555 not in corpus.authors
-    assert _seed_row(corpus, Layer.COAUTHORSHIP, ghost, "both") == (
-        "author", {a: 1 for a in paper.author_ids if a != 555})
-    assert _seed_row(corpus, Layer.BIPARTITE_AUTHOR_PAPER, ghost, "both") == (
-        "paper", {paper.paper_id: 1})
+    coauthors = {author_node(a): 1 for a in paper.author_ids if a != 555}
+    assert build_layer(corpus, Layer.COAUTHORSHIP).row(ghost) == coauthors
+    overlap = layer_overlap(corpus, ghost, [Layer.COAUTHORSHIP, Layer.BIPARTITE_AUTHOR_PAPER])
+    assert overlap.per_layer == {Layer.COAUTHORSHIP: frozenset(coauthors),
+                                 Layer.BIPARTITE_AUTHOR_PAPER: frozenset({paper_node(paper.paper_id)})}
+    assert related_rank(corpus, ghost, [Layer.COAUTHORSHIP, Layer.BIPARTITE_AUTHOR_PAPER]) == [
+        RelatedItem(node, 1, 1) for node in sorted([*coauthors, paper_node(paper.paper_id)])]
     with pytest.raises(ValueError, match="is not in the graph"):  # uses codes on record only
-        _seed_row(corpus, Layer.AUTHOR_COMMON_PACS, ghost, "both")
+        related_rank(corpus, ghost, [Layer.COAUTHORSHIP, Layer.AUTHOR_COMMON_PACS])
 
 
 def test_seed_row_of_a_dangling_cited_paper_equals_its_built_row():
     corpus = messy_corpus()  # one paper cites v9n9p9, which has no record
     lost = paper_node("v9n9p9")
-    graph = build_layer(corpus, Layer.PAPER_CITATION)
+    graph = build_layer(messy_corpus(), Layer.PAPER_CITATION)
     assert "v9n9p9" not in corpus.papers and graph.has_node(lost)
     for direction in DIRECTIONS:
-        kind, row = _seed_row(corpus, Layer.PAPER_CITATION, lost, direction)
-        assert {NodeRef(kind, x): w for x, w in row.items()} == built_row(graph, lost, direction)
-    assert _seed_row(corpus, Layer.PAPER_CITATION, lost, "in")[1]
+        row = build_layer(corpus, Layer.PAPER_CITATION).row(lost, direction)
+        assert row == built_row(graph, lost, direction)
+        for query in (layer_overlap, related_rank):  # the citation layer is its only layer
+            with pytest.raises(ValueError, match="v9n9p9 is not in the graph"):
+                query(corpus, lost, [Layer.PAPER_CITATION, Layer.PAPER_COMMON_PACS], direction)
+    assert build_layer(corpus, Layer.PAPER_CITATION).row(lost, "in")
 
 
 @pytest.mark.parametrize("layer", [Layer.COAUTHORSHIP, Layer.BIPARTITE_AUTHOR_PAPER,
                                    Layer.AUTHOR_COMMON_PACS], ids=lambda layer: layer.value)
 def test_seed_row_rejects_an_unknown_author(layer):
     corpus = messy_corpus()
-    assert not build_layer(corpus, layer).has_node(author_node(556))
-    with pytest.raises(ValueError, match="is not in the graph"):
-        _seed_row(corpus, layer, author_node(556), "both")
+    graph = build_layer(corpus, layer)
+    assert not graph.has_node(author_node(556))
+    with pytest.raises(KeyError):
+        graph.row(author_node(556))
+    others = [other for other in Layer if "author" in other.node_kinds and other is not layer]
+    for query in (layer_overlap, related_rank):
+        with pytest.raises(ValueError, match="author:556 is not in the graph"):
+            query(corpus, author_node(556), [layer, others[0]])

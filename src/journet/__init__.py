@@ -73,7 +73,7 @@ from .metrics import (
     metrics_report,
     path_stats,
 )
-from .pajek import PajekFormatError, export_pajek, infer_node, parse_pajek
+from .pajek import PajekFormatError, export_pajek, parse_pajek
 from .retrieval import (
     NeighborhoodResult,
     OverlapResult,

@@ -2,8 +2,10 @@
 
 Thin bindings over the library: every subcommand loads a corpus (or
 ingests one), calls the corresponding library function and prints the
-serialized result.  Data goes to stdout or --out files, diagnostics to
-stderr.  Exit codes: 0 success, 1 usage error, 2 data error.
+serialized result.  A ``--node`` token is read as a node of the kinds
+the given layers hold, by those kinds' id rules alone, before the corpus
+is loaded.  Data goes to stdout or --out files, diagnostics to stderr.
+Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ from pathlib import Path
 from . import reports
 from .communities import community_of, girvan_newman
 from .corpus import TimeIndex, ingest_corpus, load_corpus, persist_corpus, snapshot
-from .graph import AUTHOR, REFERENCE, NodeRef, reference_node
+from .graph import ID_RULES, NodeRef, read_node
 from .layers import Layer, build_layer, layer_from_token
 from .metrics import EVOLUTION_METRICS, degree_stats, evolution_series, metrics_report
-from .pajek import export_pajek, infer_node
+from .pajek import export_pajek
 from .retrieval import DIRECTIONS, layer_overlap, neighborhood, related_rank
 
 LAYER_TOKENS = [layer.value for layer in Layer]
+NODE_HELP = ("a node id that fits the id rule of exactly one node kind the layers hold;"
+             " on two-kind layers, kind:id names the kind (paper:v2n2p1, reference:1990)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,13 +38,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _node_for_layers(token: str, layers: list[Layer]) -> NodeRef:
-    """Read a node id as the kind of node every given layer holds.
+    """Read a node id as the one kind, of those every given layer holds,
+    whose id rule (``graph.ID_RULES``) accepts it.
 
-    Cited-work keys are free text, so on cited-work layers any token is
-    a key.  Author and paper ids have a fixed shape; a token of another
-    shape is an error.  Where every layer holds two kinds, a ``kind:id``
-    token whose kind they share names the kind outright; otherwise the
-    shape tells the kinds apart.
+    Where every layer holds two kinds, a ``kind:id`` token whose kind they
+    share names the kind outright.  A token that fits no kind, or that
+    fits two (a paper id is also a possible cited-work key), is an error.
     Commands read the token before they load the corpus, so a bad token
     fails before any layer is built or community run started.
     """
@@ -52,22 +55,14 @@ def _node_for_layers(token: str, layers: list[Layer]) -> NodeRef:
     kind, sep, text = token.partition(":")
     if sep and kind in kinds and all(len(layer.node_kinds) == 2 for layer in layers):
         kinds, token = frozenset({kind}), text
-    if kinds == {REFERENCE}:
-        return reference_node(token)
-    node = infer_node(token)
-    if node.kind not in kinds:
-        raise ValueError(
-            f"node id {token!r} looks like {'an' if node.kind == AUTHOR else 'a'} {node.kind} id"
-            f" but the layers hold {', '.join(sorted(kinds))} nodes"
-        )
-    return node
-
-
-def _write_or_print(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+    fits = [k for k in sorted(kinds) if ID_RULES[k].fullmatch(token)]
+    if len(fits) > 1:
+        raise ValueError(f"node id {token!r} fits {' and '.join(fits)} ids alike;"
+                         f" write it as kind:id, such as {fits[0]}:{token}")
+    if not fits:
+        raise ValueError(f"node id {token!r} is not an id of the layers'"
+                         f" {' or '.join(sorted(kinds))} nodes")
+    return read_node(fits[0], token)
 
 
 def _cmd_ingest(args) -> int:
@@ -100,8 +95,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_distribution(args) -> int:
-    graph = build_layer(_load(args), layer_from_token(args.layer))
-    _write_or_print(reports.degree_distribution_csv(degree_stats(graph)), args.out)
+    stats = degree_stats(build_layer(_load(args), layer_from_token(args.layer)))
+    Path(args.out).write_text(reports.degree_distribution_csv(stats), encoding="utf-8")
     return 0
 
 
@@ -153,7 +148,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_evolution(args) -> int:
     series = evolution_series(_load(args), layer_from_token(args.layer), args.metric)
-    _write_or_print(reports.evolution_csv(series), args.out)
+    Path(args.out).write_text(reports.evolution_csv(series), encoding="utf-8")
     return 0
 
 
@@ -163,7 +158,7 @@ def _cmd_export(args) -> int:
         text = export_pajek(graph)
     else:
         text = reports.adjacency_report_csv(graph)
-    _write_or_print(text, args.out)
+    Path(args.out).write_text(text, encoding="utf-8")
     return 0
 
 
@@ -203,28 +198,29 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_arg(p)
     p.add_argument("--layer", required=True, choices=LAYER_TOKENS)
     output = p.add_mutually_exclusive_group()
-    output.add_argument("--node", default=None, help="print the community of this node")
+    output.add_argument("--node", default=None,
+                        help=f"print the community of this node: {NODE_HELP}")
     output.add_argument("--dump-dendrogram", action="store_true")
     p.set_defaults(func=_cmd_communities)
 
     p = sub.add_parser("neighbors", help="BFS ball around a node in one layer")
     corpus_arg(p)
     p.add_argument("--layer", required=True, choices=LAYER_TOKENS)
-    p.add_argument("--node", required=True)
+    p.add_argument("--node", required=True, help=NODE_HELP)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--direction", choices=list(DIRECTIONS), default="both")
     p.set_defaults(func=_cmd_neighbors)
 
     p = sub.add_parser("overlap", help="nodes related to a seed in every layer")
     corpus_arg(p)
-    p.add_argument("--node", required=True)
+    p.add_argument("--node", required=True, help=NODE_HELP)
     p.add_argument("--layers", required=True, help="comma-separated layer names")
     p.add_argument("--direction", choices=list(DIRECTIONS), default="both")
     p.set_defaults(func=_cmd_overlap)
 
     p = sub.add_parser("rank", help="related nodes ordered by layer agreement")
     corpus_arg(p)
-    p.add_argument("--node", required=True)
+    p.add_argument("--node", required=True, help=NODE_HELP)
     p.add_argument("--layers", required=True, help="comma-separated layer names")
     p.add_argument("--direction", choices=list(DIRECTIONS), default="both")
     p.set_defaults(func=_cmd_rank)

@@ -17,12 +17,15 @@ exported files are reproducible byte for byte.
 
 from __future__ import annotations
 
+import re
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
-from operator import or_
+from operator import eq, or_
 from typing import Iterable, Iterator
+
+from .corpus import PACS_RE, PAPER_ID_RE
 
 AUTHOR = "author"
 PAPER = "paper"
@@ -60,6 +63,23 @@ class NodeRef(namedtuple("NodeRef", "kind id")):
 
     def __str__(self):
         return f"{self.kind}:{self.id}"
+
+
+# Each kind's ids written as text, as full-match rules: the one statement of
+# what an id looks like, for CLI tokens and Pajek labels alike.
+ID_RULES = {
+    AUTHOR: re.compile(r"-?\d+"),
+    PAPER: PAPER_ID_RE,
+    PACS: PACS_RE,
+    REFERENCE: re.compile(r".+", re.DOTALL),  # cited-work keys: any non-empty text
+}
+
+
+def read_node(kind: str, text: str) -> NodeRef:
+    """The ``kind`` node that ``text`` names; ValueError if ``kind``'s id rule rejects it."""
+    if kind in ID_RULES and not ID_RULES[kind].fullmatch(text):
+        raise GraphError(f"{text!r} is not a valid {kind} id")
+    return NodeRef(kind, int(text) if kind == AUTHOR else text)
 
 
 def author_node(author_id: int) -> NodeRef:
@@ -237,9 +257,9 @@ class Graph:
         # Equality is over topology and weights; aux counts are presentation.
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.directed, self._nodes, self.adjacency()) == (
-            other.directed, other._nodes, other.adjacency()
-        )
+        # rows() keeps no row a group-held graph derives, so comparing keeps none either
+        return (self.directed, self._nodes) == (other.directed, other._nodes) and all(
+            map(eq, self.rows(), other.rows()))
 
     def __repr__(self):
         shape = "directed" if self.directed else "undirected"

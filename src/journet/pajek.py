@@ -3,23 +3,15 @@
 Vertices get dense 1-based indices in canonical node order, labels are
 the node ids.  Undirected graphs emit an *Edges section (each edge once,
 smaller index first), directed graphs an *Arcs section.  Weights are
-always written.
+always written.  The parser reads each label back through the id rules
+of ``graph.ID_RULES``.
 """
 
 from __future__ import annotations
 
 import re
 
-from .corpus import PACS_RE, PAPER_ID_RE
-from .graph import (
-    Graph,
-    NodeRef,
-    author_node,
-    build_graph,
-    pacs_node,
-    paper_node,
-    reference_node,
-)
+from .graph import ID_RULES, NODE_KINDS, REFERENCE, Graph, NodeRef, build_graph, read_node
 
 _VERTEX_RE = re.compile(r'^(\d+)\s+"(.*)"$')
 
@@ -39,33 +31,15 @@ def export_pajek(graph: Graph) -> str:
     return "".join(["\n".join(lines), *rows])
 
 
-def infer_node(label: str) -> NodeRef:
-    """Guess node kind from the shape of an id.
-
-    Integer labels are author ids, v#n#p# labels are papers, NN.NN.xx
-    labels PACS codes, anything else a cited-work key.  The id spaces
-    make this unambiguous for graphs the library itself produces.
-    """
-    if re.fullmatch(r"-?\d+", label):
-        return author_node(int(label))
-    if PAPER_ID_RE.match(label):
-        return paper_node(label)
-    if PACS_RE.match(label):
-        return pacs_node(label)
-    return reference_node(label)
-
-
 def parse_pajek(text: str, kind: str = "auto") -> Graph:
     """Re-read a document written by export_pajek.
 
-    ``kind`` forces every node to one kind; the default infers kinds per
-    label via :func:`infer_node`.
+    ``kind`` reads every label as that kind's id with :func:`read_node`,
+    so a label its id rule rejects is a bad vertex label.  The default,
+    "auto", reads each label as the first kind whose rule accepts it, so
+    a cited-work key shaped like an author, paper or PACS id comes back
+    as that kind; pass the layer's kind where it has only one.
     """
-    def make_node(label):
-        if kind == "auto":
-            return infer_node(label)
-        return NodeRef(kind, int(label) if kind == "author" else label)
-
     lines = text.splitlines()
     if not lines or not lines[0].lower().startswith("*vertices"):
         raise PajekFormatError("line 1: expected '*Vertices N'")
@@ -93,7 +67,10 @@ def parse_pajek(text: str, kind: str = "auto") -> Graph:
                 raise PajekFormatError(f"line {lineno}: bad vertex line {line!r}")
             index, label = int(m.group(1)), m.group(2)
             try:
-                node = make_node(label)
+                # "auto": the first kind in NODE_KINDS order whose id rule accepts the
+                # label; the empty label, which no rule accepts, fails as a cited-work key
+                node = read_node(kind if kind != "auto" else next(
+                    (k for k in NODE_KINDS if ID_RULES[k].fullmatch(label)), REFERENCE), label)
             except ValueError as exc:
                 raise PajekFormatError(f"line {lineno}: bad vertex label: {exc}") from None
             if index in nodes or node in declared:

@@ -134,22 +134,33 @@ def test_neighbors_reads_node_as_the_layers_kind(tmp_path, capsys):
 
 
 def test_bipartite_layer_reads_kind_prefixed_node(tmp_path, capsys):
-    # on a two-kind layer, "reference:1990" names the cited work 1990
+    # on a two-kind layer, "reference:1990" names the cited work 1990, and so
+    # does "1990", which fits the cited-work id rule alone of the layer's kinds
     corpus = ingest(tmp_path, REFERENCES + "v1n2p1,1990,\n")
     argv = ["neighbors", "--corpus", str(corpus), "--layer", "bipartite-paper-reference",
             "--depth", "1", "--node"]
-    assert main(argv + ["1990"]) == 2
-    assert "looks like an author id" in capsys.readouterr().err
-    code = main(argv + ["reference:1990"])
-    captured = capsys.readouterr()
-    assert code == 0, captured.err
-    assert captured.out == "node_id,distance\nv1n2p1,1\n"
+    for token in ("1990", "reference:1990"):
+        code = main(argv + [token])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out == "node_id,distance\nv1n2p1,1\n"
     code = main(argv + ["paper:v1n2p1"])
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert captured.out == (
         "node_id,distance\n1990,1\nearlier quartet paper,1\nexternal classic,1\n"
     )
+
+
+def test_bipartite_layer_asks_for_kind_of_a_token_two_kinds_fit(corpus_file, capsys):
+    # a paper id is also a possible cited-work key, so the bare id names no node
+    code = main(["neighbors", "--corpus", str(corpus_file), "--layer",
+                 "bipartite-paper-reference", "--depth", "1", "--node", "v1n2p1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("journet: error: node id 'v1n2p1' fits paper and reference ids alike;"
+                            " write it as kind:id, such as paper:v1n2p1\n")
 
 
 def test_single_kind_layer_reads_prefix_as_part_of_the_id(tmp_path, capsys):
@@ -278,7 +289,7 @@ def test_rank_rejects_kind_mismatch(corpus_file, capsys):
     ])
     captured = capsys.readouterr()
     assert code == 2
-    assert "author" in captured.err
+    assert "node id '3672' is not an id of the layers' paper nodes" in captured.err
 
 
 def test_evolution(corpus_file, tmp_path):
@@ -336,7 +347,7 @@ def test_communities_rejects_node_token_before_the_run(corpus_file, capsys, monk
         "--node", "v1n1p1",
     ])
     assert code == 2
-    assert "looks like a paper id" in capsys.readouterr().err
+    assert "node id 'v1n1p1' is not an id of the layers' author nodes" in capsys.readouterr().err
 
 
 def test_communities_rejects_node_with_dendrogram_before_loading(corpus_file, capsys, monkeypatch):
@@ -365,7 +376,7 @@ def test_query_commands_reject_node_token_before_loading(corpus_file, capsys, mo
     monkeypatch.setattr("journet.cli.load_corpus", must_not_run)
     code = main([*command, "--corpus", str(corpus_file), "--node", "v1n1p1"])
     assert code == 2
-    assert "looks like a paper id" in capsys.readouterr().err
+    assert "node id 'v1n1p1' is not an id of the layers' author nodes" in capsys.readouterr().err
 
 
 def test_library_and_cli_agree(corpus_file, capsys):

@@ -693,3 +693,13 @@ def test_retrieval_leaves_one_mode_layers_group_held(monkeypatch):
         calls.clear()
         assert list(g.rows()) == list(expected)
         assert calls == list(range(g.node_count))  # no row was kept: each is derived again
+
+
+@pytest.mark.parametrize("layer", ONE_MODE, ids=lambda layer: layer.value)
+def test_equality_leaves_one_mode_layers_group_held(layer):
+    corpus = random_corpus(random.Random(105))
+    g, h = build_layer(corpus, layer), build_layer(fresh(corpus), layer)
+    assert g == h and not g != h
+    assert g._out is None and h._out is None, layer  # rows were compared, none kept
+    other = build_layer(random_corpus(random.Random(106)), layer)
+    assert g != other and other._out is None

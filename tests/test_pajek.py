@@ -1,9 +1,10 @@
 import random
+import re
 
 import pytest
 
-from journet.graph import author_node, build_graph, paper_node, reference_node
-from journet.pajek import PajekFormatError, export_pajek, infer_node, parse_pajek
+from journet.graph import author_node, build_graph, pacs_node, paper_node, reference_node
+from journet.pajek import PajekFormatError, export_pajek, parse_pajek
 
 from conftest import random_graph
 
@@ -65,11 +66,29 @@ def test_round_trip_directed():
     assert parse_pajek(export_pajek(g)) == g
 
 
-def test_infer_node_kinds():
-    assert infer_node("42") == author_node(42)
-    assert infer_node("v4n4p14") == paper_node("v4n4p14")
-    assert infer_node("05.50.+q").kind == "pacs"
-    assert infer_node("smith 1990") == reference_node("smith 1990")
+def test_auto_kind_reads_each_label_by_its_shape():
+    text = '*Vertices 5\n1 "42"\n2 "v4n4p14"\n3 "05.50.+q"\n4 "smith 1990"\n5 "-3"\n*Edges\n'
+    assert parse_pajek(text).nodes() == [
+        author_node(-3), author_node(42), pacs_node("05.50.+q"), paper_node("v4n4p14"),
+        reference_node("smith 1990"),
+    ]
+
+
+def test_auto_kind_rejects_a_label_no_rule_accepts():
+    with pytest.raises(PajekFormatError, match="line 3: bad vertex label"):
+        parse_pajek('*Vertices 2\n1 "7"\n2 ""\n*Edges\n')
+
+
+@pytest.mark.parametrize("kind, good, bad", [
+    ("paper", "v1n1p1", "foo"), ("paper", "v1n1p1", "42"), ("paper", "v1n1p1", "v1n1p1 "),
+    ("pacs", "05.50.+q", "xx"), ("pacs", "05.50.+q", "v1n1p1"), ("pacs", "05.50.+q", "05.50.+qq"),
+    ("author", "7", "+5"), ("reference", "7", ""),
+])
+def test_forced_kind_rejects_a_label_of_another_shape(kind, good, bad):
+    text = f'*Vertices 2\n1 "{good}"\n2 "{bad}"\n*Edges\n'
+    with pytest.raises(PajekFormatError,
+                       match=re.escape(f"line 3: bad vertex label: {bad!r} is not a valid {kind} id")):
+        parse_pajek(text, kind=kind)
 
 
 def test_parse_with_forced_kind():

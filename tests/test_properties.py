@@ -1,5 +1,6 @@
-"""Property tests: snapshots, persistence, ingest and Pajek on generated corpora,
-and the order, equality and checks of the node and time-index tuples.
+"""Property tests: snapshots, persistence, ingest, Pajek and CLI node tokens on
+generated corpora, and the order, equality and checks of the node and
+time-index tuples.
 
 hypothesis is a test-only dependency; without it this module is skipped.
 Runs are derandomized, so every run draws the same examples.
@@ -33,7 +34,8 @@ from journet.corpus import (  # noqa: E402
     snapshot,
     validate_corpus,
 )
-from journet.graph import AUTHOR, NODE_KINDS, GraphError, NodeRef  # noqa: E402
+from journet.cli import _node_for_layers  # noqa: E402
+from journet.graph import AUTHOR, ID_RULES, NODE_KINDS, GraphError, NodeRef  # noqa: E402
 from journet.layers import Layer, build_layer  # noqa: E402
 from journet.pajek import export_pajek, parse_pajek  # noqa: E402
 
@@ -195,6 +197,26 @@ def test_pajek_round_trips_adversarial_keys(reference_lists):
     ]
     g = build_layer(Corpus(papers, [AuthorRecord(1, "", frozenset())]), Layer.COCITATION)
     assert parse_pajek(export_pajek(g), kind="reference") == g
+
+
+@PROPERTY_SETTINGS
+@given(corpora(key_texts=adversarial_keys | st.text(min_size=1, max_size=8)))
+def test_cli_node_tokens_read_back_to_every_layer_node(corpus):
+    for layer in Layer:
+        kinds = layer.node_kinds
+        for node in build_layer(corpus, layer).nodes():
+            bare = str(node.id)
+            fits = [kind for kind in sorted(kinds) if ID_RULES[kind].fullmatch(bare)]
+            assert node.kind in fits
+            if len(kinds) == 2:
+                assert _node_for_layers(str(node), [layer]) == node
+                if bare.partition(":")[0] in kinds and ":" in bare:
+                    continue  # bare "paper:x" reads as the paper x; kind:id is checked above
+            if len(fits) == 1:
+                assert _node_for_layers(bare, [layer]) == node
+            else:
+                with pytest.raises(ValueError, match=f"such as {fits[0]}:"):
+                    _node_for_layers(bare, [layer])
 
 
 TEXT_KINDS = [kind for kind in NODE_KINDS if kind != AUTHOR]

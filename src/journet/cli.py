@@ -124,12 +124,15 @@ def _cmd_neighbors(args) -> int:
     return 0
 
 
-def _split_layers(tokens: str) -> list[Layer]:
-    return [layer_from_token(t) for t in tokens.split(",") if t]
+def _layer_tokens(text: str) -> list[str]:
+    """The --layers tokens; naming none is a usage error, an unknown one a data error."""
+    if not (tokens := [t for t in text.split(",") if t]):
+        raise argparse.ArgumentTypeError(f"{text!r} names no layer")
+    return tokens
 
 
 def _cmd_overlap(args) -> int:
-    layers = _split_layers(args.layers)
+    layers = list(map(layer_from_token, args.layers))
     node = _node_for_layers(args.node, layers)
     corpus = _load(args)
     result = layer_overlap(corpus, node, layers, citation_direction=args.direction)
@@ -138,7 +141,7 @@ def _cmd_overlap(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    layers = _split_layers(args.layers)
+    layers = list(map(layer_from_token, args.layers))
     node = _node_for_layers(args.node, layers)
     corpus = _load(args)
     items = related_rank(corpus, node, layers, citation_direction=args.direction)
@@ -211,19 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=list(DIRECTIONS), default="both")
     p.set_defaults(func=_cmd_neighbors)
 
-    p = sub.add_parser("overlap", help="nodes related to a seed in every layer")
-    corpus_arg(p)
-    p.add_argument("--node", required=True, help=NODE_HELP)
-    p.add_argument("--layers", required=True, help="comma-separated layer names")
-    p.add_argument("--direction", choices=list(DIRECTIONS), default="both")
-    p.set_defaults(func=_cmd_overlap)
-
-    p = sub.add_parser("rank", help="related nodes ordered by layer agreement")
-    corpus_arg(p)
-    p.add_argument("--node", required=True, help=NODE_HELP)
-    p.add_argument("--layers", required=True, help="comma-separated layer names")
-    p.add_argument("--direction", choices=list(DIRECTIONS), default="both")
-    p.set_defaults(func=_cmd_rank)
+    for name, func, summary in (("overlap", _cmd_overlap, "nodes related to a seed in every layer"),
+                                ("rank", _cmd_rank, "related nodes ordered by layer agreement")):
+        p = sub.add_parser(name, help=summary)
+        corpus_arg(p)
+        p.add_argument("--node", required=True, help=NODE_HELP)
+        p.add_argument("--layers", required=True, type=_layer_tokens,
+                       help="comma-separated layer names")
+        p.add_argument("--direction", choices=list(DIRECTIONS), default="both")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("evolution", help="metric over cumulative time slices")
     corpus_arg(p)

@@ -145,6 +145,7 @@ def girvan_newman(graph: Graph) -> CommunityResult:
 
     nodes = graph.nodes()
     adj = [list(row) for row in graph.adjacency()]
+    held = list(zip(range(len(adj))))  # the hop form of adj: node i holds row i alone
     tops = {}  # least node of a component -> (-score, edge) of its top edge
 
     def sweep(piece):
@@ -156,7 +157,7 @@ def girvan_newman(graph: Graph) -> CommunityResult:
         partition = canonical_partition([[nodes[v] for v in comp] for comp in comps])
         return PartitionRecord(removed, len(comps), partition, modularity(graph, partition))
 
-    comps = components(adj)
+    comps = components(adj, held)
     records = [record(0, comps)]
     for comp in comps:
         sweep(comp)
@@ -165,11 +166,11 @@ def girvan_newman(graph: Graph) -> CommunityResult:
         u, v = tops.pop(key)[1]
         adj[u].remove(v)
         adj[v].remove(u)
-        side, dist = bfs(adj, u)
+        side, dist = bfs(adj, held, u)
         sweep(sorted(side))
         if v not in dist:
-            sweep(sorted(bfs(adj, v)[0]))
-            records.append(record(removed, components(adj)))
+            sweep(sorted(bfs(adj, held, v)[0]))
+            records.append(record(removed, components(adj, held)))
 
     # max() keeps the first of equal maxima: the earlier, coarser level
     return CommunityResult(records, max(range(len(records)), key=lambda i: records[i].modularity))

@@ -10,9 +10,11 @@ order.  The :class:`Graph` constructor is the one place that puts rows
 in that form: builders hand it rows in any key order, and it sorts them
 and derives a directed graph's in-rows, or holds a one-mode graph's
 groups and derives each row from them with :func:`_co_members`, the one
-pair-count kernel, when it is read.  A graph is immutable once built and
-every accessor returns data in canonical sorted order, so reports and
-exported files are reproducible byte for byte.
+pair-count kernel, when it is read.  Walks need no rows: :func:`bfs`,
+:func:`components` and :func:`neighbour_bits` read any graph's
+:meth:`Graph.hops`.  A graph is immutable once built and every accessor
+returns data in canonical sorted order, so reports and exported files
+are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -119,9 +121,9 @@ class Graph:
     An undirected one-mode graph may be given ``groups`` and ``held``
     instead: member index lists, each holding a node once, where two
     nodes link once per group holding both, and the groups holding each
-    node.  It keeps both as given, shared with the layer's index.  Its
-    degrees come from member bitsets; :meth:`adjacency` derives and keeps
-    its rows, while :meth:`rows` and :meth:`row` keep none.
+    node.  It keeps both as given, shared with the layer's index, and
+    :meth:`hops` hands them out as they are; :meth:`adjacency` derives
+    and keeps its rows, while :meth:`rows` and :meth:`row` keep none.
     """
 
     def __init__(self, directed, nodes, rows=None, aux=None, groups=None, held=None):
@@ -145,11 +147,8 @@ class Graph:
         self._arc_count = sum(map(len, self._out))
 
     def _group_degrees(self) -> tuple[int, ...]:
-        """Popcount of the OR of each node's groups' member bitsets, less the node."""
         if self._degrees is None:
-            bits = [sum(1 << i for i in members) for members in self._groups]
-            self._degrees = tuple(reduce(or_, map(bits.__getitem__, held), 1 << i).bit_count() - 1
-                                  for i, held in enumerate(self._held))
+            self._degrees = tuple(map(int.bit_count, neighbour_bits(self._groups, self._held)))
         return self._degrees
 
     # -- node accessors ----------------------------------------------------
@@ -194,6 +193,16 @@ class Graph:
         if self._out is None:
             self._keep(self.rows())
         return self._out if direction == "out" else self._in
+
+    def hops(self, direction: str = "both") -> tuple:
+        """``(groups, held)``: one hop from node ``i`` reaches every member
+        of every group in ``held[i]`` but ``i``.  A group-held graph gives
+        its own and keeps no rows; any other, its :meth:`adjacency` rows for
+        ``direction`` as the groups, node ``i`` holding group ``i`` alone."""
+        check_direction(direction)
+        if self._groups is not None:
+            return self._groups, self._held
+        return self.adjacency(direction), list(zip(range(len(self._nodes))))
 
     def rows(self) -> Iterator[dict[int, int]]:
         """The out-rows of :meth:`adjacency` in index order; a group-held graph
@@ -297,37 +306,49 @@ def build_graph(
     return Graph(directed, nodes, arcs)
 
 
-def bfs(adj, source: int, depth: int | None = None) -> tuple[list[int], dict[int, int]]:
-    """Breadth-first search over rows such as Graph.adjacency().
+def bfs(groups, held, source: int, depth: int | None = None) -> tuple[list[int], dict[int, int]]:
+    """Breadth-first search over a hop form such as Graph.hops().
 
-    Returns the visit order and each visited node's hop distance.  Rows
-    are walked in stored order, so ascending rows give the canonical
-    order.  With ``depth``, nodes farther than that are not visited.
+    Returns the visit order and each visited node's hop distance.  Each
+    group is walked once, in stored order, so ascending rows give the
+    canonical order.  With ``depth``, nodes farther than that are not visited.
     """
     dist = {source: 0}
     order = [source]
+    walked = set()
     for u in order:  # order grows while it is walked: that is the queue
         d = dist[u] + 1
         if depth is not None and d > depth:
             break
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = d
-                order.append(v)
+        for g in held[u]:
+            if g not in walked:
+                walked.add(g)
+                for v in groups[g]:
+                    if v not in dist:
+                        dist[v] = d
+                        order.append(v)
     return order, dist
 
 
-def components(adj) -> list[list[int]]:
-    """Connected components of symmetric rows, as ascending index
-    lists ordered by their smallest index."""
+def components(groups, held) -> list[list[int]]:
+    """Connected components of a hop form, as ascending index lists
+    ordered by their smallest index."""
     seen: set[int] = set()
     result = []
-    for start in range(len(adj)):
+    for start in range(len(held)):
         if start not in seen:
-            order, _ = bfs(adj, start)
+            order, _ = bfs(groups, held, start)
             seen.update(order)
             result.append(sorted(order))
     return result
+
+
+def neighbour_bits(groups, held) -> Iterator[int]:
+    """Each node's neighbours in a hop form as a bitset, in node order:
+    the OR of its groups' member bitsets, less the node itself."""
+    bits = [sum(1 << i for i in members) for members in groups]
+    return (reduce(or_, map(bits.__getitem__, held_i), 1 << i) ^ 1 << i
+            for i, held_i in enumerate(held))
 
 
 @dataclass(frozen=True)

@@ -198,11 +198,11 @@ def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Gr
 
     The corpus keeps every layer built from it, with the layer's
     symmetrized view once read, for as long as the corpus lives, and a
-    later call returns the same graph.  A one-mode layer holds its
-    groups, and its rows (millions of links on a dense layer of a
-    10^4-paper journal) only once ``adjacency()`` is read; ``row()``
-    reads one node's row without keeping any.  The graph is shared, so
-    it must never be mutated.
+    later call returns the same graph.  A one-mode layer holds its groups,
+    which statistics and neighbourhoods walk through ``hops()``, and holds
+    its rows (millions of links on a dense 10^4-paper layer) only once
+    ``adjacency()`` is read, as ``communities`` does; ``row()`` keeps none.
+    The graph is shared, so it must never be mutated.
     """
     internal_only = internal_only and layer is Layer.COCITATION
     if (layer, internal_only) not in corpus._memo:

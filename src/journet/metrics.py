@@ -2,7 +2,8 @@
 
 Degrees, local clustering, shortest paths and connected components,
 bundled into one report per graph.  Paths count unweighted hops, and
-clustering and paths see a directed graph symmetrized.  Mean shortest
+clustering and paths see a directed graph symmetrized.  All of them walk
+the graph's ``hops()``, so a one-mode layer keeps no rows.  Mean shortest
 path and diameter come from one all-sources sweep over node bitsets
 (Then et al., PVLDB 2014) on the largest component, with the component
 count and giant size reported too, so nothing disconnected is hidden.
@@ -17,7 +18,7 @@ from functools import reduce
 from operator import or_
 
 from .corpus import Corpus, TimeIndex, snapshot
-from .graph import Graph, NodeRef, bfs, components
+from .graph import Graph, NodeRef, bfs, components, neighbour_bits
 from .layers import Layer, build_layer
 
 
@@ -84,19 +85,21 @@ def clustering(graph: Graph) -> ClusteringStats:
     C(v) = 2 T(v) / (k (k - 1)) where T(v) counts links among v's
     neighbours; nodes of degree < 2 get C = 0 and stay in the mean.
     """
-    g = graph.symmetrized()
-    nodes = g.nodes()
-    bits = [sum(1 << u for u in row) for row in g.adjacency()]  # bit u: u is a neighbour
-    per_node: dict[NodeRef, float] = {}
-    triangles: dict[NodeRef, int] = {}
-    for v, row in enumerate(g.adjacency()):
-        k = len(row)
-        # each link among the neighbours is seen from both of its ends
-        count = sum((bits[u] & bits[v]).bit_count() for u in row) // 2
-        triangles[nodes[v]] = count
-        per_node[nodes[v]] = 2.0 * count / (k * (k - 1)) if k >= 2 else 0.0
-    if not per_node:
+    nodes = graph.nodes()
+    if not nodes:
         return ClusteringStats({}, 0.0, 0.0, {})
+    groups, held = graph.hops()
+    bits = list(neighbour_bits(groups, held))  # bit u of bits[v]: u is a neighbour of v
+    ends = [0] * len(nodes)  # 2 T(v): each link among v's neighbours, from both its ends
+    for u, held_u in enumerate(held):
+        for v in set().union(*map(groups.__getitem__, held_u)):
+            if v > u:  # once per link (u, v), added at both ends
+                common = (bits[u] & bits[v]).bit_count()
+                ends[u] += common
+                ends[v] += common
+    triangles = {node: count // 2 for node, count in zip(nodes, ends)}
+    per_node = {node: 2.0 * t / (k * (k - 1)) if k >= 2 else 0.0
+                for (node, t), k in zip(triangles.items(), map(int.bit_count, bits))}
     values = list(per_node.values())
     return ClusteringStats(per_node, sum(values) / len(values), max(values), triangles)
 
@@ -104,14 +107,14 @@ def clustering(graph: Graph) -> ClusteringStats:
 def bfs_distances(graph: Graph, source: NodeRef) -> dict[NodeRef, int]:
     """Hop distances from source to every reachable node (direction ignored)."""
     nodes = graph.nodes()
-    _, dist = bfs(graph.adjacency("both"), graph.index(source))
+    _, dist = bfs(*graph.hops(), graph.index(source))
     return {nodes[v]: d for v, d in dist.items()}
 
 
 def connected_components(graph: Graph) -> list[list[NodeRef]]:
     """Components as sorted node lists, ordered by their smallest node."""
     nodes = graph.nodes()
-    return [[nodes[v] for v in comp] for comp in components(graph.adjacency("both"))]
+    return [[nodes[v] for v in comp] for comp in components(*graph.hops())]
 
 
 def path_stats(graph: Graph) -> PathStats:
@@ -121,8 +124,8 @@ def path_stats(graph: Graph) -> PathStats:
     both.  Ties for largest go to the component holding the smallest
     node, keeping results deterministic.
     """
-    adj = graph.adjacency("both")
-    comps = components(adj)
+    groups, held = graph.hops()
+    comps = components(groups, held)
     if not comps:
         return PathStats(0.0, 0, 0, 0)
     giant = max(comps, key=len)
@@ -131,10 +134,15 @@ def path_stats(graph: Graph) -> PathStats:
     # Bit s of reach[v] is set once v is within `diameter` hops of source s:
     # each sweep's new bits are the ordered pairs that lie that many hops apart.
     reach = {v: 1 << v for v in giant}
+    walked = {g for v in giant for g in held[v]}  # the giant's groups hold giant nodes only
     total, diameter, reached = 0, 0, len(giant)
     while reached < len(giant) ** 2:  # the giant is connected, so every sweep sets a bit
         diameter += 1
-        reach = {v: reduce(or_, map(reach.__getitem__, adj[v]), own) for v, own in reach.items()}
+        # a group reaches what any member reaches; a node, what its groups reach
+        greach = {g: reduce(or_, map(reach.__getitem__, groups[g])) for g in walked}
+        for v, own in reach.items():
+            reach[v] = reduce(or_, map(greach.__getitem__, held[v]), own)
+        del greach  # else the next sweep's group reach would be built beside it
         now = sum(map(int.bit_count, reach.values()))
         total, reached = total + diameter * (now - reached), now
     pairs = len(giant) * (len(giant) - 1) // 2

@@ -1,9 +1,10 @@
 """Related-item queries across one or several network layers.
 
 A neighborhood is the exact BFS ball of a given radius around a seed
-node in a built layer.  Overlap queries intersect the direct neighbours
-of a seed across several layers; ranking orders every node adjacent in
-at least one layer by how many layers agree, then by total link weight.
+node in a built layer, walked through ``Graph.hops()``, so it keeps no
+row.  Overlap queries intersect the direct neighbours of a seed across
+several layers; ranking orders every node adjacent in at least one
+layer by how many layers agree, then by total link weight.
 Both read the seed's own row of each layer through the layer's graph,
 which ``build_layer`` builds once per corpus; a one-mode layer derives
 that one row from its groups and keeps no rows.
@@ -40,7 +41,7 @@ def neighborhood(
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     nodes = graph.nodes()
-    _, dist = bfs(graph.adjacency(direction), graph.index(seed), depth)
+    _, dist = bfs(*graph.hops(direction), graph.index(seed), depth)
     return NeighborhoodResult(seed, depth, {nodes[v]: d for v, d in dist.items() if d})
 
 

@@ -73,6 +73,19 @@ def floyd_warshall(neighbor_sets):
     return {pair: d for pair, d in dist.items() if d != inf}
 
 
+def queue_bfs(neighbor_sets, source):
+    """Hop distances from source to every node it reaches, by a plain FIFO queue."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in neighbor_sets[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 def enumerate_edge_betweenness(neighbor_sets):
     """Edge betweenness by listing every shortest path of every pair.
 

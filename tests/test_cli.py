@@ -379,6 +379,29 @@ def test_query_commands_reject_node_token_before_loading(corpus_file, capsys, mo
     assert "node id 'v1n1p1' is not an id of the layers' author nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["overlap", "rank"])
+def test_layer_list_naming_no_layer_is_a_usage_error(corpus_file, capsys, monkeypatch, command):
+    def must_not_run(*args):
+        pytest.fail("the node token or the corpus was read for an empty layer list")
+
+    monkeypatch.setattr("journet.cli.load_corpus", must_not_run)
+    monkeypatch.setattr("journet.cli._node_for_layers", must_not_run)
+    for layers in (",", "", ",,"):
+        code = main([command, "--corpus", str(corpus_file), "--node", "101", "--layers", layers])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"argument --layers: {layers!r} names no layer" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["overlap", "rank"])
+def test_unknown_layer_token_is_a_data_error(corpus_file, capsys, command):
+    code = main([command, "--corpus", str(corpus_file), "--node", "v1n2p1",
+                 "--layers", "paper-citation,,no-such-layer"])
+    assert code == 2
+    assert "unknown layer 'no-such-layer'" in capsys.readouterr().err
+
+
 def test_library_and_cli_agree(corpus_file, capsys):
     from journet.corpus import load_corpus
     from journet.layers import Layer, build_layer

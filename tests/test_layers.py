@@ -29,7 +29,14 @@ from journet.layers import (
     layer_from_token,
     project_one_mode,
 )
-from journet.metrics import clustering, degree_stats, metrics_report
+from journet.metrics import (
+    EVOLUTION_METRICS,
+    clustering,
+    connected_components,
+    degree_stats,
+    evolution_series,
+    metrics_report,
+)
 from journet.pajek import export_pajek, parse_pajek
 from journet.reports import adjacency_report_csv, degree_distribution_csv
 from journet.retrieval import DIRECTIONS, layer_overlap, neighborhood, related_rank
@@ -635,6 +642,20 @@ def test_writers_derive_each_row_once_and_keep_none(build, monkeypatch):
     assert calls == 3 * each_row
     assert (export_pajek(g), adjacency_report_csv(g)) == (text, report)
     assert g.adjacency() is g.adjacency() and len(calls) == 3 * g.node_count  # kept rows are read
+
+
+@pytest.mark.parametrize("build", ONE_MODE_BUILDS, ids=one_mode_id)
+def test_statistics_and_neighbourhoods_keep_no_rows(build, monkeypatch):
+    corpus = random_corpus(random.Random(98))
+    g = build_layer(corpus, *build)
+    calls = count_row_kernel(monkeypatch)
+    metrics_report(g)
+    connected_components(g)
+    for node in g.nodes():
+        neighborhood(g, node, 2)
+    for metric in EVOLUTION_METRICS:  # each snapshot's layer too
+        evolution_series(corpus, build[0], metric)
+    assert calls == [] and g._out is None  # no row derived, so none kept
 
 
 def persisted_random_corpus(tmp_path, seed) -> str:

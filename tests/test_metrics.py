@@ -10,14 +10,17 @@ from journet.metrics import (
     EVOLUTION_METRICS,
     PathStats,
     clustering,
+    connected_components,
     degree_stats,
     evolution_series,
     metrics_report,
     path_stats,
 )
+from journet.retrieval import neighborhood
 
 from conftest import make_authors, make_paper, random_corpus, random_graph
-from oracles import floyd_warshall, triangle_clustering
+from oracles import floyd_warshall, queue_bfs, triangle_clustering
+from test_layers import ONE_MODE_BUILDS, one_mode_id
 
 n = author_node
 
@@ -152,8 +155,9 @@ def oracle_path_stats(neighbor_sets):
     return PathStats(total / 2 / pairs, diameter, len(comps), len(giant))
 
 
-def assert_exact_against_oracles(g):
-    neighbor_sets = {v: set(g.row(v, "both")) for v in g.nodes()}
+def assert_exact_against_oracles(g, neighbor_sets=None):
+    if neighbor_sets is None:
+        neighbor_sets = {v: set(g.row(v, "both")) for v in g.nodes()}
     assert path_stats(g) == oracle_path_stats(neighbor_sets)
     stats = clustering(g)
     expected = triangle_clustering(neighbor_sets)
@@ -178,6 +182,37 @@ def test_paths_and_clustering_equal_oracles_exactly_on_layers(layer):
         assert_exact_against_oracles(build_layer(random_corpus(random.Random(seed)), layer))
 
 
+def link_neighbour_sets(g):
+    """Each node's neighbours read off ``g.links()``, not off its hop form."""
+    neighbor_sets = {v: set() for v in g.nodes()}
+    for u, v, _ in g.links():
+        neighbor_sets[u].add(v)
+        neighbor_sets[v].add(u)
+    return neighbor_sets
+
+
+def oracle_corpus(seed):
+    """A random journal whose size and sparsity vary with the seed."""
+    rng = random.Random(seed)
+    return random_corpus(rng, volumes=rng.randint(1, 3), papers_per_issue=rng.randint(1, 6),
+                         author_pool=rng.randint(3, 30), external_keys=rng.randint(1, 30))
+
+
+@pytest.mark.parametrize("seed", range(120, 128))
+@pytest.mark.parametrize("build", ONE_MODE_BUILDS, ids=one_mode_id)
+def test_group_kernel_equals_oracles_on_one_mode_layers(build, seed):
+    g = build_layer(oracle_corpus(seed), *build)
+    neighbor_sets = link_neighbour_sets(g)
+    assert_exact_against_oracles(g, neighbor_sets)
+    reach = {v: queue_bfs(neighbor_sets, v) for v in g.nodes()}
+    assert list(map(tuple, connected_components(g))) == sorted(
+        {tuple(sorted(dist)) for dist in reach.values()}, key=min)
+    for v, dist in reach.items():
+        for depth in (1, 2, 3):
+            assert neighborhood(g, v, depth).members == {
+                t: d for t, d in dist.items() if 0 < d <= depth}
+
+
 def test_path_stats_runs_no_more_bfs_than_components(monkeypatch):
     import journet.graph
     import journet.metrics
@@ -187,13 +222,13 @@ def test_path_stats_runs_no_more_bfs_than_components(monkeypatch):
     real_bfs = journet.graph.bfs
 
     def counting_bfs(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[2])  # the source
         return real_bfs(*args, **kwargs)
 
     monkeypatch.setattr(journet.graph, "bfs", counting_bfs)
     monkeypatch.setattr(journet.metrics, "bfs", counting_bfs)
     g = random_graph(random.Random(94), 60, 0.08)
-    components(g.adjacency("both"))
+    components(*g.hops())
     component_bfs = len(calls)
     calls.clear()
     stats = path_stats(g)

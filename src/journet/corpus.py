@@ -12,15 +12,16 @@ import csv
 import json
 import re
 from dataclasses import dataclass, replace
-from itertools import starmap
-from operator import attrgetter, itemgetter
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 PAPER_ID_RE = re.compile(r"^v(\d+)n(\d+)p(\d+)$")
 PACS_RE = re.compile(r"^\d{2}\.\d{2}\.[0-9A-Za-z+\-]{2}$")
 
-FORMAT_HEADER = "journet-corpus v1"
+FORMAT_HEADER = "journet-corpus v2"
+_V1_HEADER = "journet-corpus v1"  # no longer read: such a file is ingested again
 
 
 class IngestError(ValueError):
@@ -190,12 +191,10 @@ class Corpus:
 
 def _by_id(records: Iterable, kind: str) -> dict:
     """Key records by their ``<kind>_id`` field; a repeated id is a ValueError."""
-    table: dict = {}
-    for record in records:
-        rid = getattr(record, f"{kind}_id")
-        if rid in table:
-            raise ValueError(f"duplicate {kind} id {rid}")
-        table[rid] = record
+    records, id_of = list(records), attrgetter(f"{kind}_id")
+    table = dict(zip(map(id_of, records), records))
+    if len(table) < len(records):
+        raise ValueError(f"duplicate {kind} id {_repeats(map(id_of, records))[0]}")
     return table
 
 
@@ -478,72 +477,83 @@ def snapshot(corpus: Corpus, as_of: TimeIndex) -> Corpus:
 
 # -- persistence --------------------------------------------------------------
 
-def _json_form(value):
-    """What json cannot write itself: a set as a sorted list, a record as a dict."""
-    if isinstance(value, frozenset):
-        return sorted(value)
-    return {name: getattr(value, name) for name in value.__dataclass_fields__}
+# The tables of a corpus file, each with the record class that states its fields.
+_TABLES = {"affiliations": AffiliationRecord, "authors": AuthorRecord, "papers": PaperRecord,
+           "works": ReferenceKey}
 
 
-def _reader(cls, **converters):
-    """A function that builds a ``cls`` record from each JSON object in a
-    list through the record's own constructor, once ``converters`` turn
-    list fields from JSON lists.  An object holds exactly the record's
-    fields: a missing one fails the count or the lookup, an unknown one
-    the count.  Build it once and use it for every list of its records."""
-    names = tuple(cls.__dataclass_fields__)
-    values_of = itemgetter(*names)
-    convert = [(names.index(name), f) for name, f in converters.items()]
+def _columns(payload, name, **converters) -> list:
+    """Table ``name`` as one column per field of its record, each list field
+    turned by its converter, once the fields, each row's length and each list
+    field's type are checked; a set shorter than its list repeats an entry."""
+    names, rows = list(_TABLES[name].__dataclass_fields__), payload[name]["rows"]
+    if payload[name]["fields"] != names:
+        raise ValueError(f"{name} fields {payload[name]['fields']} are not {names}")
+    if {*map(type, rows)} - {list} or {*map(len, rows)} - {len(names)}:
+        n = next(n for n, row in enumerate(rows) if type(row) is not list or len(row) != len(names))
+        raise ValueError(f"{name} row {n} is not a list of {len(names)} values")
+    columns = list(zip(*rows)) or [()] * len(names)
+    for field, convert in converters.items():
+        i = names.index(field)
+        if {*map(type, raw := columns[i])} - {list}:
+            rid = next(rid for rid, value in zip(columns[0], raw) if type(value) is not list)
+            raise ValueError(f"{names[0]} {rid}: {field} is not a list")
+        columns[i] = list(map(convert, raw))
+        if list(map(len, columns[i])) != list(map(len, raw)):
+            rid, entries = next(pair for pair in zip(columns[0], raw) if _repeats(pair[1]))
+            raise ValueError(f"{names[0]} {rid}: {field} repeats {_repeats(entries)[0]!r}")
+    return columns
 
-    def converted(values) -> list:
-        values = list(values)
-        for i, f in convert:
-            if not isinstance(values[i], list):
-                raise ValueError(f"{names[0]} {values[0]}: {names[i]} is not a list")
-            raw, values[i] = values[i], f(values[i])
-            if isinstance(values[i], frozenset) and len(values[i]) < len(raw):
-                raise ValueError(f"{names[0]} {values[0]}: {names[i]} repeats {_repeats(raw)[0]!r}")
-        return values
 
-    def read(objects) -> list:
-        for fields in objects:
-            if len(fields) != len(names):
-                raise ValueError(f"{cls.__name__} fields {sorted(fields)} are not {sorted(names)}")
-        rows = map(values_of, objects)
-        return list(starmap(cls, map(converted, rows) if convert else rows))
-
-    return read
+def _cited(paper_ids, cited, work_columns) -> list:
+    """Each paper's cited works, each built once from its row, which no other
+    row repeats; every row cited, every entry a row number (``int``, ``>= 0``)."""
+    works, rows = list(map(ReferenceKey, *work_columns)), range(len(work_columns[0]))
+    if len(set(zip(*work_columns))) < len(works):
+        raise ValueError(f"works row {list(_repeats(zip(*work_columns))[0])!r} is listed twice")
+    flat = list(chain.from_iterable(cited))
+    if {*map(type, flat)} - {int} or set(flat) != set(rows):
+        for pid, n in ((pid, n) for pid, entries in zip(paper_ids, cited) for n in entries):
+            if type(n) is not int or n not in rows:
+                raise ValueError(f"paper_id {pid}: reference_keys entry {n!r} is not a works row")
+        raise ValueError(f"works row {min(set(rows).difference(flat))} is cited by no paper")
+    return [tuple(map(works.__getitem__, entries)) for entries in cited]
 
 
 def persist_corpus(corpus: Corpus, path) -> None:
-    """Write the corpus as a single self-describing text file."""
-    tables = {"papers": corpus.papers, "authors": corpus.authors, "affiliations": corpus.affiliations}
-    payload = {name: [table[key] for key in sorted(table)] for name, table in tables.items()}
-    body = json.dumps(payload, sort_keys=True, default=_json_form)
+    """Write ``journet-corpus v2``, then one JSON line of four tables, each its record's field
+    names once and one row of values per record in id order.  ``works`` holds each distinct
+    cited work once, in order of first citation; a paper's ``reference_keys`` are its rows."""
+    tables = corpus.affiliations, corpus.authors, corpus.papers
+    records = [list(map(table.get, sorted(table))) for table in tables]
+    works = dict.fromkeys(ref for paper in records[-1] for ref in paper.reference_keys)
+    row_of = dict(zip(works, range(len(works))))
+    payload = {}
+    for (name, cls), rows in zip(_TABLES.items(), [*records, works]):
+        names = tuple(cls.__dataclass_fields__)
+        payload[name] = {"fields": names, "rows": list(map(attrgetter(*names), rows))}
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      default=lambda v: sorted(v) if isinstance(v, frozenset) else row_of[v])
     Path(path).write_text(FORMAT_HEADER + "\n" + body + "\n", encoding="utf-8")
 
 
 def load_corpus(path) -> Corpus:
-    """Read a file written by persist_corpus; a wrong version or shape fails,
-    as does a record with a missing or unknown field or a repeated set entry."""
-    text = Path(path).read_text(encoding="utf-8")
-    header, _, body = text.partition("\n")
+    """Read a file written by persist_corpus, building each cited work once for
+    all papers citing it, then judge it with ``validate_corpus``.  Any other
+    header fails (a v1 file with a word to ingest again), and so does a table
+    or row unlike its record and each bad list, set or works row entry."""
+    header, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
     if header != FORMAT_HEADER:
-        raise CorpusFormatError(
-            f"expected format header {FORMAT_HEADER!r}, found {header!r}"
-        )
+        raise CorpusFormatError(f"expected format header {FORMAT_HEADER!r}, found {header!r}"
+                                + "; re-run `journet ingest` to write it" * (header == _V1_HEADER))
     try:
         payload = json.loads(body)
-        read_refs = _reader(ReferenceKey)
-        papers = _reader(
-            PaperRecord,
-            author_ids=tuple,
-            pacs_codes=frozenset,
-            reference_keys=lambda refs: tuple(read_refs(refs)),
-        )(payload["papers"])
-        authors = _reader(AuthorRecord, affiliation_ids=frozenset)(payload["authors"])
-        affiliations = _reader(AffiliationRecord)(payload["affiliations"])
-        corpus = Corpus(papers, authors, affiliations)
+        columns = _columns(payload, "papers", author_ids=tuple, pacs_codes=frozenset,
+                           reference_keys=tuple)
+        columns[-1] = _cited(columns[0], columns[-1], _columns(payload, "works"))
+        corpus = Corpus(map(PaperRecord, *columns),
+                        map(AuthorRecord, *_columns(payload, "authors", affiliation_ids=frozenset)),
+                        map(AffiliationRecord, *_columns(payload, "affiliations")))
         report = validate_corpus(corpus)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"corrupt corpus file: {exc}") from exc

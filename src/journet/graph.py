@@ -20,6 +20,7 @@ are reproducible byte for byte.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import reduce
@@ -119,7 +120,7 @@ class Graph:
     with keys ascending, so iterating a row gives canonical neighbour
     order, and derives a directed graph's in-arc rows from its out-rows.
     An undirected one-mode graph may be given ``groups`` and ``held``
-    instead: member index lists, each holding a node once, where two
+    instead: ascending member index lists, each holding a node once, where two
     nodes link once per group holding both, and the groups holding each
     node.  It keeps both as given, shared with the layer's index, and
     :meth:`hops` hands them out as they are; :meth:`adjacency` derives
@@ -200,9 +201,9 @@ class Graph:
         its own and keeps no rows; any other, its :meth:`adjacency` rows for
         ``direction`` as the groups, node ``i`` holding group ``i`` alone."""
         check_direction(direction)
-        if self._groups is not None:
-            return self._groups, self._held
-        return self.adjacency(direction), list(zip(range(len(self._nodes))))
+        if self._groups is None and self._held is None:  # node i holds group i alone: built once
+            self._held = list(zip(range(len(self._nodes))))
+        return self._groups if self._groups is not None else self.adjacency(direction), self._held
 
     def rows(self) -> Iterator[dict[int, int]]:
         """The out-rows of :meth:`adjacency` in index order; a group-held graph
@@ -243,10 +244,19 @@ class Graph:
     def links(self) -> Iterator[tuple[NodeRef, NodeRef, int]]:
         """Canonical link iteration: undirected edges once with u < v, sorted."""
         nodes = self._nodes
-        for i, row in enumerate(self.rows()):
-            for j, w in row.items():
-                if self.directed or i < j:
-                    yield nodes[i], nodes[j], w
+        return ((nodes[i], nodes[j], w) for i, row in enumerate(self._link_rows())
+                for j, w in row.items())
+
+    def _link_rows(self) -> Iterator[dict[int, int]]:
+        """Each node's row cut to the links it starts, above the node if undirected; a
+        group-held graph counts only those, from its groups' members above it, keeping none."""
+        if self._out is not None:
+            return (row if self.directed else {j: w for j, w in row.items() if j > i}
+                    for i, row in enumerate(self._out))
+        groups = self._groups
+        return (dict(sorted(_co_members(i, (
+            g[bisect_right(g, i):] for g in map(groups.__getitem__, held))).items()))
+            for i, held in enumerate(self._held))
 
     def symmetrized(self) -> "Graph":
         """Undirected view of a directed graph; weights of opposite arcs add.
@@ -387,7 +397,7 @@ def _merged(row: dict[int, int], back: dict[int, int]) -> dict[int, int]:
 
 
 def _co_members(member, groups) -> Counter:
-    """How many of ``groups``, each holding ``member`` and no id twice, each other member is in."""
+    """How many of ``groups``, none holding an id twice, each member other than ``member`` is in."""
     counts = Counter(chain.from_iterable(groups))
     del counts[member]
     return counts

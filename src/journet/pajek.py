@@ -26,8 +26,8 @@ def export_pajek(graph: Graph) -> str:
     lines = [f"*Vertices {len(nodes)}"]
     lines += [f'{i} "{node.id}"' for i, node in enumerate(nodes, start=1)]
     lines += ["*Arcs" if graph.directed else "*Edges", ""]
-    rows = ("".join(f"{i + 1} {j + 1} {w}\n" for j, w in row.items() if graph.directed or i < j)
-            for i, row in enumerate(graph.rows()))
+    rows = ("".join(f"{i + 1} {j + 1} {w}\n" for j, w in row.items())
+            for i, row in enumerate(graph._link_rows()))
     return "".join(["\n".join(lines), *rows])
 
 

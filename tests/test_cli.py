@@ -231,7 +231,7 @@ def test_corrupt_corpus_file_is_data_error(tmp_path, capsys):
     code = main(["stats", "--corpus", str(bad), "--layer", "coauthorship"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "journet-corpus v1" in captured.err
+    assert "journet-corpus v2" in captured.err
 
 
 def test_export_pajek_and_adjacency(corpus_file, tmp_path, capsys):

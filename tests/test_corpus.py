@@ -194,26 +194,54 @@ def test_ingest_tells_a_paper_row_from_an_author_row_with_the_same_id(tmp_path):
         "papers.csv:4: bad-paper-id"]
 
 
+def record(payload, table, n):
+    """Row ``n`` of ``table`` in a corpus file's payload, read and written by field name."""
+    return Row(payload[table]["fields"], payload[table]["rows"][n])
+
+
+class Row:
+    def __init__(self, fields, values):
+        self.fields, self.values = fields, values
+
+    def __getitem__(self, field):
+        return self.values[self.fields.index(field)]
+
+    def __setitem__(self, field, value):
+        self.values[self.fields.index(field)] = value
+
+    def update(self, **fields):
+        for field, value in fields.items():
+            self[field] = value
+
+
+def cite(payload, n, key, internal_paper_id=None):
+    """Paper row ``n`` cites the work (key, internal id) too: its row of
+    ``works``, appended first if no row holds it yet."""
+    works = payload["works"]["rows"]
+    if [key, internal_paper_id] not in works:
+        works.append([key, internal_paper_id])
+    record(payload, "papers", n)["reference_keys"].append(works.index([key, internal_paper_id]))
+
+
+def rewrite(path, header, payload):
+    path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
+
+
 # The hand-edited corpus file equivalent to each case of RULE_CASES, as an
 # edit of the persisted fixture (papers v1n1p1, v1n2p1; authors 10, 11, 12).
 LOAD_EDITS = {
-    "paper-id-shape": lambda pl: pl["papers"][1].update(paper_id="v1n2p01"),
-    "paper-id-columns": lambda pl: pl["papers"][1].update(volume=2),
-    "pacs-shape": lambda pl: pl["papers"][0].update(pacs_codes=["5.50.+q", "64.60.Cn"]),
-    "dangling-author": lambda pl: pl["papers"][1]["author_ids"].append(999),
-    "author-twice": lambda pl: pl["papers"][1]["author_ids"].append(11),
-    "no-authors": lambda pl: pl["papers"][1].update(author_ids=[]),
-    "empty-key": lambda pl: pl["papers"][0]["reference_keys"].append(
-        {"key": "", "internal_paper_id": None}),
-    "repeated-key": lambda pl: pl["papers"][1]["reference_keys"].append(
-        {"key": "another work", "internal_paper_id": None}),
-    "dangling-cited-paper": lambda pl: pl["papers"][1]["reference_keys"].append(
-        {"key": "ghost", "internal_paper_id": "v9n9p9"}),
-    "self-citation": lambda pl: pl["papers"][0]["reference_keys"].append(
-        {"key": "loop", "internal_paper_id": "v1n1p1"}),
-    "dangling-affiliation": lambda pl: pl["authors"][2].update(affiliation_ids=[3]),
-    "blank-cited-paper": lambda pl: pl["papers"][1]["reference_keys"].append(
-        {"key": "ghost", "internal_paper_id": "   "}),
+    "paper-id-shape": lambda pl: record(pl, "papers", 1).update(paper_id="v1n2p01"),
+    "paper-id-columns": lambda pl: record(pl, "papers", 1).update(volume=2),
+    "pacs-shape": lambda pl: record(pl, "papers", 0).update(pacs_codes=["5.50.+q", "64.60.Cn"]),
+    "dangling-author": lambda pl: record(pl, "papers", 1)["author_ids"].append(999),
+    "author-twice": lambda pl: record(pl, "papers", 1)["author_ids"].append(11),
+    "no-authors": lambda pl: record(pl, "papers", 1).update(author_ids=[]),
+    "empty-key": lambda pl: cite(pl, 0, ""),
+    "repeated-key": lambda pl: cite(pl, 1, "another work"),  # its own row, cited again
+    "dangling-cited-paper": lambda pl: cite(pl, 1, "ghost", "v9n9p9"),
+    "self-citation": lambda pl: cite(pl, 0, "loop", "v1n1p1"),
+    "dangling-affiliation": lambda pl: record(pl, "authors", 2).update(affiliation_ids=[3]),
+    "blank-cited-paper": lambda pl: cite(pl, 1, "ghost", "   "),
 }
 
 
@@ -226,7 +254,7 @@ def test_ingest_reports_each_broken_rule_once_as_load_does(tmp_path, case):
     header, _, body = path.read_text(encoding="utf-8").partition("\n")
     payload = json.loads(body)
     LOAD_EDITS[case](payload)
-    path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
+    rewrite(path, header, payload)
     with pytest.raises(CorpusFormatError) as loaded:
         load_corpus(path)
     edits, where, _ = RULE_CASES[case]
@@ -425,27 +453,82 @@ def test_persist_is_deterministic(tmp_path):
 
 
 def test_load_reads_indented_layout(tmp_path):
-    # files written before the compact layout hold the same JSON, indented
+    # the same JSON pretty-printed, as after a hand edit, still loads
     corpus = random_corpus(random.Random(4))
     path = tmp_path / "c.corpus"
     persist_corpus(corpus, path)
     header, _, body = path.read_text(encoding="utf-8").partition("\n")
     indented = json.dumps(json.loads(body), sort_keys=True, indent=1)
-    assert indented != body.rstrip("\n")
+    assert header == "journet-corpus v2" and indented != body.rstrip("\n")
     path.write_text(header + "\n" + indented + "\n", encoding="utf-8")
     assert load_corpus(path) == corpus
+
+
+def test_persist_writes_tables_of_rows_and_one_row_per_cited_work(tmp_path):
+    corpus = Corpus(
+        [make_paper("v1n1p1", [10], refs=["b work", ("a work", "v1n1p2")]),
+         make_paper("v1n1p2", [11, 10], pacs=["64.60.Cn", "05.50.+q"], refs=["b work", "c work"])],
+        [AuthorRecord(10, "Ann", frozenset({2, 1})), AuthorRecord(11, "Bob", frozenset())],
+        [AffiliationRecord(1, "Institute A", "UA"), AffiliationRecord(2, "Institute B")],
+    )
+    path = tmp_path / "c.corpus"
+    persist_corpus(corpus, path)
+    header, body, end = path.read_text(encoding="utf-8").split("\n")
+    assert (header, end) == ("journet-corpus v2", "")
+    assert json.loads(body) == {
+        "affiliations": {"fields": ["affiliation_id", "name", "country"],
+                         "rows": [[1, "Institute A", "UA"], [2, "Institute B", None]]},
+        "authors": {"fields": ["author_id", "name", "affiliation_ids"],
+                    "rows": [[10, "Ann", [1, 2]], [11, "Bob", []]]},
+        "papers": {"fields": ["paper_id", "title", "volume", "issue", "year", "author_ids",
+                              "pacs_codes", "reference_keys"],
+                   "rows": [["v1n1p1", "On v1n1p1", 1, 1, None, [10], [], [0, 1]],
+                            ["v1n1p2", "On v1n1p2", 1, 1, None, [11, 10],
+                             ["05.50.+q", "64.60.Cn"], [1, 2]]]},
+        # each cited work once, in order of first citation
+        "works": {"fields": ["key", "internal_paper_id"],
+                  "rows": [["a work", "v1n1p2"], ["b work", None], ["c work", None]]},
+    }
+    assert body == json.dumps(json.loads(body), sort_keys=True, separators=(",", ":"))  # compact
+
+
+def test_load_shares_each_cited_work_among_the_papers_citing_it(tmp_path):
+    corpus = Corpus(
+        [make_paper("v1n1p1", [10], refs=["shared work"]),
+         make_paper("v1n1p2", [10], refs=["own work", "shared work"]),
+         make_paper("v1n2p1", [10], refs=[("first paper", "v1n1p1"), "shared work"])],
+        make_authors([10]),
+    )
+    path = tmp_path / "c.corpus"
+    persist_corpus(corpus, path)
+    loaded = load_corpus(path)
+    assert loaded == corpus
+    (one,), (_, two), (_, three) = (p.reference_keys for p in loaded.papers.values())
+    assert one.key == "shared work" and one is two is three
 
 
 def test_load_rejects_wrong_version(tmp_path):
     path = tmp_path / "bad.corpus"
     path.write_text("journet-corpus v999\n{}\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="journet-corpus v1.*v999"):
+    with pytest.raises(CorpusFormatError, match="journet-corpus v2.*v999"):
         load_corpus(path)
+
+
+def test_load_refuses_a_v1_file_and_asks_to_ingest_again(tmp_path, capsys):
+    path = tmp_path / "old.corpus"
+    path.write_text('journet-corpus v1\n{"affiliations": [], "authors": [], "papers": []}\n',
+                    encoding="utf-8")
+    message = ("expected format header 'journet-corpus v2', found 'journet-corpus v1';"
+               " re-run `journet ingest` to write it")
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(message)}$"):
+        load_corpus(path)
+    assert main(["stats", "--corpus", str(path), "--layer", "coauthorship"]) == 2
+    assert capsys.readouterr().err == f"journet: error: {message}\n"
 
 
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.corpus"
-    path.write_text("journet-corpus v1\nnot json\n", encoding="utf-8")
+    path.write_text("journet-corpus v2\nnot json\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError, match="corrupt"):
         load_corpus(path)
 
@@ -459,13 +542,9 @@ def test_load_rejects_semantically_broken_corpus(tmp_path):
         load_corpus(path)
 
 
-# One object of each record kind in a persisted corpus, and each kind's fields.
-RECORD_OBJECTS = {
-    "paper": lambda payload: payload["papers"][0],
-    "reference": lambda payload: payload["papers"][1]["reference_keys"][0],
-    "author": lambda payload: payload["authors"][0],
-    "affiliation": lambda payload: payload["affiliations"][0],
-}
+# The table of each record kind in a persisted corpus, and each kind's fields.
+RECORD_TABLES = {"paper": "papers", "reference": "works", "author": "authors",
+                 "affiliation": "affiliations"}
 RECORD_FIELDS = {
     "paper": ["paper_id", "title", "volume", "issue", "year", "author_ids", "pacs_codes",
               "reference_keys"],
@@ -476,9 +555,11 @@ RECORD_FIELDS = {
 
 
 def persisted_payload(tmp_path):
+    """A persisted corpus: papers v1n1p1 and v1n2p1, which cites works rows
+    0 ("cited work", in-journal) and 1 ("other work"); author 10 at affiliation 1."""
     corpus = Corpus(
         [make_paper("v1n1p1", [10], pacs=["05.50.+q"]),
-         make_paper("v1n2p1", [10], refs=[("cited work", "v1n1p1")])],
+         make_paper("v1n2p1", [10], refs=[("cited work", "v1n1p1"), "other work"])],
         [AuthorRecord(10, "Ann", frozenset({1}))],
         [AffiliationRecord(1, "Institute A", "UA")],
     )
@@ -492,60 +573,104 @@ def persisted_payload(tmp_path):
     (kind, field) for kind, fields in RECORD_FIELDS.items() for field in fields
 ])
 def test_load_rejects_record_with_missing_field(tmp_path, kind, field):
+    # the field gone from the table's names and from every row alike
     path, header, payload = persisted_payload(tmp_path)
-    del RECORD_OBJECTS[kind](payload)[field]
-    path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="corrupt"):
+    table = payload[RECORD_TABLES[kind]]
+    i = table["fields"].index(field)
+    for values in [table["fields"], *table["rows"]]:
+        del values[i]
+    rewrite(path, header, payload)
+    with pytest.raises(CorpusFormatError, match=rf"^corrupt corpus file: {RECORD_TABLES[kind]}"
+                                                rf" fields \[.*\] are not \[.*'{field}'.*\]$"):
         load_corpus(path)
 
 
-@pytest.mark.parametrize("kind", RECORD_OBJECTS)
+@pytest.mark.parametrize("kind", RECORD_TABLES)
 def test_load_rejects_record_with_unknown_field(tmp_path, kind):
     path, header, payload = persisted_payload(tmp_path)
-    RECORD_OBJECTS[kind](payload)["note"] = "not a field"
-    path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
-    with pytest.raises(CorpusFormatError, match="corrupt"):
+    table = payload[RECORD_TABLES[kind]]
+    table["fields"].append("note")
+    for row in table["rows"]:
+        row.append("not a field")
+    rewrite(path, header, payload)
+    with pytest.raises(CorpusFormatError, match=f"^corrupt corpus file: {RECORD_TABLES[kind]}"
+                                                r" fields \[.*'note'\] are not \["):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("kind", RECORD_TABLES)
+def test_load_rejects_table_that_names_its_fields_out_of_order(tmp_path, kind):
+    path, header, payload = persisted_payload(tmp_path)
+    table = payload[RECORD_TABLES[kind]]
+    table["fields"].reverse()
+    for row in table["rows"]:
+        row.reverse()
+    rewrite(path, header, payload)
+    with pytest.raises(CorpusFormatError, match=f"^corrupt corpus file: {RECORD_TABLES[kind]} fields"):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("kind, edit", [
+    (kind, edit) for kind in RECORD_TABLES for edit in ("short", "long", "object")
+])
+def test_load_rejects_row_of_the_wrong_length(tmp_path, kind, edit):
+    path, header, payload = persisted_payload(tmp_path)
+    table = payload[RECORD_TABLES[kind]]
+    row = table["rows"][0]
+    if edit == "short":
+        row.pop()
+    elif edit == "long":
+        row.append(None)
+    else:
+        table["rows"][0] = dict(zip(table["fields"], row))
+    rewrite(path, header, payload)
+    message = (f"corrupt corpus file: {RECORD_TABLES[kind]} row 0 is not a list of"
+               f" {len(RECORD_FIELDS[kind])} values")
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(message)}$"):
         load_corpus(path)
 
 
 def list_true_as_author(payload):
     """Paper v1n1p1 lists ``true`` as an author while author 1 is on record."""
-    payload["authors"].append(dict(payload["authors"][0], author_id=1))
-    payload["papers"][0]["author_ids"].append(True)
+    authors = payload["authors"]["rows"]
+    authors.append(list(authors[0]))
+    record(payload, "authors", 1)["author_id"] = 1
+    record(payload, "papers", 0)["author_ids"].append(True)
 
 
 # A field of the wrong JSON type in a hand-edited file, and the violation naming its record.
 WRONG_TYPES = {
-    "paper-id": (lambda payload: payload["papers"][0].update(paper_id=5),
+    "paper-id": (lambda payload: record(payload, "papers", 0).update(paper_id=5),
                  "bad-paper-id [5]: paper id 5 does not match"),
-    "pacs-code": (lambda payload: payload["papers"][0].update(pacs_codes=["05.50.+q", 5]),
+    "pacs-code": (lambda payload: record(payload, "papers", 0).update(pacs_codes=["05.50.+q", 5]),
                   "bad-pacs [v1n1p1]: PACS code 5 is not NN.NN.xx"),
-    "author-id": (lambda payload: payload["authors"][0].update(author_id="x"),
+    "author-id": (lambda payload: record(payload, "authors", 0).update(author_id="x"),
                   "bad-author-id [x]: author id 'x' is not an integer"),
-    "ref-key": (lambda payload: payload["papers"][1]["reference_keys"][0].update(key=5),
+    "ref-key": (lambda payload: record(payload, "works", 0).update(key=5),
                 "bad-ref-key [v1n2p1]: reference key 5 is not text"),
-    "title": (lambda payload: payload["papers"][0].update(title=5),
+    "title": (lambda payload: record(payload, "papers", 0).update(title=5),
               "bad-field [v1n1p1]: title 5 is not text"),
-    "year": (lambda payload: payload["papers"][0].update(year="x"),
+    "year": (lambda payload: record(payload, "papers", 0).update(year="x"),
              "bad-field [v1n1p1]: year 'x' is not an integer"),
-    "volume-bool": (lambda payload: payload["papers"][0].update(volume=True),
+    "volume-bool": (lambda payload: record(payload, "papers", 0).update(volume=True),
                     "bad-field [v1n1p1]: volume True is not an integer"),
-    "volume-text": (lambda payload: payload["papers"][0].update(volume="1"),
+    "volume-text": (lambda payload: record(payload, "papers", 0).update(volume="1"),
                     "bad-field [v1n1p1]: volume '1' is not an integer"),
-    "issue": (lambda payload: payload["papers"][0].update(issue=1.0),
+    "issue": (lambda payload: record(payload, "papers", 0).update(issue=1.0),
               "bad-field [v1n1p1]: issue 1.0 is not an integer"),
-    "author-name": (lambda payload: payload["authors"][0].update(name=7),
+    "author-name": (lambda payload: record(payload, "authors", 0).update(name=7),
                     "bad-field [10]: name 7 is not text"),
     "author-id-in-paper": (list_true_as_author,
                            "bad-author-id [v1n1p1]: author id True is not an integer"),
     "affiliation-id-of-author": (  # affiliation 1 is on record
-        lambda payload: payload["authors"][0].update(affiliation_ids=[True]),
+        lambda payload: record(payload, "authors", 0).update(affiliation_ids=[True]),
         "bad-affiliation-id [10]: affiliation id True is not an integer"),
-    "affiliation-id": (lambda payload: payload["affiliations"][0].update(affiliation_id="1"),
-                       "bad-affiliation-id [1]: affiliation id '1' is not an integer"),
-    "affiliation-name": (lambda payload: payload["affiliations"][0].update(name=None),
+    "affiliation-id": (
+        lambda payload: record(payload, "affiliations", 0).update(affiliation_id="1"),
+        "bad-affiliation-id [1]: affiliation id '1' is not an integer"),
+    "affiliation-name": (lambda payload: record(payload, "affiliations", 0).update(name=None),
                          "bad-field [1]: affiliation name None is not text"),
-    "country": (lambda payload: payload["affiliations"][0].update(country=44),
+    "country": (lambda payload: record(payload, "affiliations", 0).update(country=44),
                 "bad-field [1]: country 44 is not text"),
 }
 
@@ -564,7 +689,7 @@ def test_load_rejects_field_of_wrong_type(tmp_path, capsys, case):
     edit, message = WRONG_TYPES[case]
     path, header, payload = persisted_payload(tmp_path)
     edit(payload)
-    path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
+    rewrite(path, header, payload)
     with pytest.raises(CorpusFormatError, match=re.escape(f"fails validation: {message}")):
         load_corpus(path)
     assert main(["stats", "--corpus", str(path), "--layer", "coauthorship"]) == 2
@@ -574,10 +699,10 @@ def test_load_rejects_field_of_wrong_type(tmp_path, capsys, case):
 # A list in a hand-edited file that repeats an entry, which a set field would
 # drop without a word, and the record and entry the load error names.
 REPEATED_ENTRIES = {
-    "pacs-code": (lambda payload: payload["papers"][0]["pacs_codes"].append("05.50.+q"),
+    "pacs-code": (lambda payload: record(payload, "papers", 0)["pacs_codes"].append("05.50.+q"),
                   "paper_id v1n1p1: pacs_codes repeats '05.50.+q'"),
     "true-beside-1": (  # True == 1, so a set keeps one of them
-        lambda payload: payload["authors"][0]["affiliation_ids"].append(True),
+        lambda payload: record(payload, "authors", 0)["affiliation_ids"].append(True),
         "author_id 10: affiliation_ids repeats True"),
 }
 
@@ -587,7 +712,7 @@ def test_load_rejects_list_that_repeats_an_entry(tmp_path, case):
     edit, message = REPEATED_ENTRIES[case]
     path, header, payload = persisted_payload(tmp_path)
     edit(payload)
-    path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
+    rewrite(path, header, payload)
     with pytest.raises(CorpusFormatError, match=f"^corrupt corpus file: {re.escape(message)}$"):
         load_corpus(path)
 
@@ -609,11 +734,46 @@ LIST_FIELDS = {
                          ("affiliation_ids", 1), ("reference_keys", None)]
 ])
 def test_load_rejects_list_field_that_is_not_a_list(tmp_path, field, value):
-    table, position, record = LIST_FIELDS[field]
+    table, position, name = LIST_FIELDS[field]
     path, header, payload = persisted_payload(tmp_path)
-    payload[table][position][field] = value
-    path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
-    message = f"corrupt corpus file: {record}: {field} is not a list"
+    record(payload, table, position)[field] = value
+    rewrite(path, header, payload)
+    message = f"corrupt corpus file: {name}: {field} is not a list"
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(message)}$"):
+        load_corpus(path)
+
+
+# A reference that is no row number of works (two rows), in a hand-edited
+# file: ``true`` is not row 1 and -1 is not the last row.
+@pytest.mark.parametrize("entry", [True, False, -1, 2, 1.0, "1", None, [1]],
+                         ids=lambda entry: json.dumps(entry))
+def test_load_rejects_reference_that_is_not_a_works_row(tmp_path, entry):
+    path, header, payload = persisted_payload(tmp_path)
+    record(payload, "papers", 1)["reference_keys"] = [0, 1, entry]
+    rewrite(path, header, payload)
+    message = f"corrupt corpus file: paper_id v1n2p1: reference_keys entry {entry!r} is not a works row"
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(message)}$"):
+        load_corpus(path)
+
+
+def test_load_rejects_works_row_no_paper_cites(tmp_path):
+    path, header, payload = persisted_payload(tmp_path)
+    payload["works"]["rows"].insert(1, ["lost work", None])
+    record(payload, "papers", 1)["reference_keys"] = [0, 2]
+    rewrite(path, header, payload)
+    with pytest.raises(CorpusFormatError,
+                       match=r"^corrupt corpus file: works row 1 is cited by no paper$"):
+        load_corpus(path)
+
+
+def test_load_rejects_works_row_that_repeats_another(tmp_path):
+    # each copy cited by a paper of its own, so the key is not repeated within one paper
+    path, header, payload = persisted_payload(tmp_path)
+    works = payload["works"]["rows"]
+    works.append(list(works[1]))
+    record(payload, "papers", 0)["reference_keys"].append(2)
+    rewrite(path, header, payload)
+    message = "corrupt corpus file: works row ['other work', None] is listed twice"
     with pytest.raises(CorpusFormatError, match=f"^{re.escape(message)}$"):
         load_corpus(path)
 
@@ -636,9 +796,9 @@ def test_validate_flags_duplicate_ref_key(tmp_path):
     assert [(v.kind, v.subject, v.message) for v in report.violations] == [
         ("duplicate-ref-key", "v1n1p1", "reference key 'cited work' listed twice")]
     path, header, payload = persisted_payload(tmp_path)
-    refs = payload["papers"][1]["reference_keys"]
-    refs.append(dict(refs[0]))  # a copied reference
-    path.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
+    refs = record(payload, "papers", 1)["reference_keys"]
+    refs.append(refs[0])  # the paper cites its first works row again
+    rewrite(path, header, payload)
     with pytest.raises(CorpusFormatError, match=r"duplicate-ref-key \[v1n2p1\]"):
         load_corpus(path)
 

@@ -205,9 +205,12 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     statement of the record rules, for ingest and load alike.  Each
     violation names its record and, for a rule about one entry of it, the
     offending ``item``.  A field of the wrong type, as a hand-edited corpus
-    file may hold, is a violation too.
+    file may hold, is a violation too.  A PACS code is judged once however
+    many papers list it, and reported for each of them.
     """
     out: list[Violation] = []
+    codes = set().union(*(paper.pacs_codes for paper in corpus.papers.values()))
+    bad_codes = {code for code in codes if not (isinstance(code, str) and PACS_RE.fullmatch(code))}
 
     def bad(kind, subject, message, item=None):
         out.append(Violation(kind, subject, message, item))
@@ -263,9 +266,10 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             seen.add(aid)
             if aid not in corpus.authors:
                 bad("dangling-author", pid, f"author {aid} has no record", aid)
-        for code in _sorted(paper.pacs_codes):
-            if not (isinstance(code, str) and PACS_RE.match(code)):
-                bad("bad-pacs", pid, f"PACS code {code!r} is not NN.NN.xx", code)
+        if not bad_codes.isdisjoint(paper.pacs_codes):
+            for code in _sorted(paper.pacs_codes):
+                if code in bad_codes:
+                    bad("bad-pacs", pid, f"PACS code {code!r} is not NN.NN.xx", code)
         keys: set[str] = set()
         for ref in paper.reference_keys:
             if not isinstance(ref.key, str):
@@ -302,7 +306,8 @@ AFFILIATIONS_HEADER = ["affiliation_id", "name", "country"]
 
 
 def _read_rows(path, expected_header, problems):
-    """Yield ("file:line", row) for every data row; header and arity checked."""
+    """Yield ((file name, line), row) for every data row; header and arity
+    checked.  A problem is a (location, text) pair, shown as ``file:line: text``."""
     name = Path(path).name
     # utf-8-sig: spreadsheet exports often prepend a BOM
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -310,17 +315,17 @@ def _read_rows(path, expected_header, problems):
         try:
             header = next(reader)
         except StopIteration:
-            problems.append(f"{name}:1: missing header row")
+            problems.append(((name, 1), "missing header row"))
             return
         if header != expected_header:
-            problems.append(f"{name}:1: bad header {header!r}, expected {expected_header!r}")
+            problems.append(((name, 1), f"bad header {header!r}, expected {expected_header!r}"))
             return
         for row in reader:
             if not row:
                 continue
-            where = f"{name}:{reader.line_num}"
+            where = name, reader.line_num
             if len(row) != len(expected_header):
-                problems.append(f"{where}: expected {len(expected_header)} fields, got {len(row)}")
+                problems.append((where, f"expected {len(expected_header)} fields, got {len(row)}"))
                 continue
             yield where, row
 
@@ -335,10 +340,10 @@ def _parse_int(text, what, where, problems, minimum=None):
     try:
         value = int(text)
     except ValueError:
-        problems.append(f"{where}: {what} {text!r} is not an integer")
+        problems.append((where, f"{what} {text!r} is not an integer"))
         return None
     if minimum is not None and value < minimum:
-        problems.append(f"{where}: {what} {value} is below {minimum}")
+        problems.append((where, f"{what} {value} is below {minimum}"))
         return None
     return value
 
@@ -356,10 +361,12 @@ def ingest_corpus(papers_file, authors_file, authorship_file, references_file,
     ``file:line: kind [subject]: message``.  An IngestError carries every
     problem found; nothing partial is returned.  Without an affiliations
     file the table is empty.  Row order never matters: authors sort by
-    position, references by key.
+    position, references by key.  Each distinct ``ref_key`` text is
+    normalized once, and each distinct cited work is one ``ReferenceKey``
+    shared by every paper citing it.
     """
-    problems: list[str] = []
-    row_of: dict = {}  # subject or (subject, item) -> "file:line" of the row that holds it
+    problems: list[tuple[tuple[str, int], str]] = []  # (file name, line), text
+    row_of: dict = {}  # subject or (subject, item) -> (file name, line) of the row that holds it
 
     affiliations: dict[int, AffiliationRecord] = {}
     if affiliations_file is not None:
@@ -368,7 +375,7 @@ def ingest_corpus(papers_file, authors_file, authorship_file, references_file,
             if fid is None:
                 continue
             if fid in affiliations:
-                problems.append(f"{where}: duplicate affiliation id {fid}")
+                problems.append((where, f"duplicate affiliation id {fid}"))
                 continue
             affiliations[fid] = AffiliationRecord(fid, row[1], row[2] or None)
 
@@ -380,9 +387,9 @@ def ingest_corpus(papers_file, authors_file, authorship_file, references_file,
         if aid is None or None in fids:
             continue
         if aid in authors:
-            problems.append(f"{where}: duplicate author id {aid}")
+            problems.append((where, f"duplicate author id {aid}"))
             continue
-        problems.extend(f"{where}: affiliation id {fid} listed twice" for fid in _repeats(fids))
+        problems.extend((where, f"affiliation id {fid} listed twice") for fid in _repeats(fids))
         authors[aid] = AuthorRecord(aid, row[1], frozenset(fids))
         row_of.update(((aid, fid), where) for fid in fids)
 
@@ -390,7 +397,7 @@ def ingest_corpus(papers_file, authors_file, authorship_file, references_file,
     for where, row in _read_rows(papers_file, PAPERS_HEADER, problems):
         pid = row[0]
         if pid in paper_rows:
-            problems.append(f"{where}: duplicate paper id {pid}")
+            problems.append((where, f"duplicate paper id {pid}"))
             continue
         volume = _parse_int(row[2], "volume", where, problems)
         issue = _parse_int(row[3], "issue", where, problems)
@@ -398,7 +405,7 @@ def ingest_corpus(papers_file, authors_file, authorship_file, references_file,
         if volume is None or issue is None or (row[4] and year is None):
             continue
         codes = list(filter(None, row[5].split(";")))
-        problems.extend(f"{where}: PACS code {code!r} listed twice" for code in _repeats(codes))
+        problems.extend((where, f"PACS code {code!r} listed twice") for code in _repeats(codes))
         paper_rows[pid] = (row[1], volume, issue, year, frozenset(codes))
         row_of[pid] = where
 
@@ -410,24 +417,29 @@ def ingest_corpus(papers_file, authors_file, authorship_file, references_file,
         if aid is None or pos is None:
             continue
         if pid not in paper_rows:
-            problems.append(f"{where}: unknown paper id {pid}")
+            problems.append((where, f"unknown paper id {pid}"))
             continue
         slots = authorship.setdefault(pid, {})
         if pos in slots:
-            problems.append(f"{where}: duplicate author position {pos} for paper {pid}")
+            problems.append((where, f"duplicate author position {pos} for paper {pid}"))
             continue
         slots[pos] = aid
         row_of[pid, aid] = where
 
     references: dict[str, list[ReferenceKey]] = {}
-    for where, row in _read_rows(references_file, REFERENCES_HEADER, problems):
-        pid = row[0]
+    keys: dict[str, str] = {}  # ref_key cell -> its normalized key
+    works: dict[tuple[str, str | None], ReferenceKey] = {}  # (key, internal id) -> its one record
+    for where, (pid, text, internal) in _read_rows(references_file, REFERENCES_HEADER, problems):
         if pid not in paper_rows:
-            problems.append(f"{where}: unknown citing paper id {pid}")
+            problems.append((where, f"unknown citing paper id {pid}"))
             continue
-        key = normalize_ref_key(row[1])
-        references.setdefault(pid, []).append(ReferenceKey(key, row[2] or None))
-        row_of[pid, key] = where
+        if text not in keys:
+            keys[text] = normalize_ref_key(text)
+        work = keys[text], internal or None
+        if work not in works:
+            works[work] = ReferenceKey(*work)
+        references.setdefault(pid, []).append(works[work])
+        row_of[pid, work[0]] = where
 
     papers = []
     for pid, (title, volume, issue, year, codes) in paper_rows.items():
@@ -437,9 +449,9 @@ def ingest_corpus(papers_file, authors_file, authorship_file, references_file,
                                   tuple(slots[pos] for pos in sorted(slots)), codes, tuple(refs)))
     corpus = Corpus(papers, authors.values(), affiliations.values())
     for v in validate_corpus(corpus).violations:
-        problems.append(f"{row_of.get((v.subject, v.item)) or row_of[v.subject]}: {v}")
+        problems.append((row_of.get((v.subject, v.item)) or row_of[v.subject], str(v)))
     if problems:
-        raise IngestError(problems)
+        raise IngestError([f"{name}:{line}: {text}" for (name, line), text in problems])
     return corpus
 
 
@@ -451,25 +463,27 @@ def snapshot(corpus: Corpus, as_of: TimeIndex) -> Corpus:
 
     A citation whose in-journal target falls outside the snapshot keeps
     its key but loses the internal id, exactly as it would have been
-    ingested before the target existed.  Only a paper with such a
-    citation gets a new record; every other record is the parent's own
-    object.  The result is itself valid.
+    ingested before the target existed.  Each such work is one record,
+    shared by the papers citing it: the one a kept paper already cites
+    by key alone, else a new one.  Only a paper with such a citation
+    gets a new record; every other record is the parent's own object.
+    The result is itself valid.
     """
     kept = {pid for pid, p in corpus.papers.items() if p.time_index <= as_of}
+    known = kept | {None}  # a kept citation's internal id; None is a work outside the journal
+    papers = [corpus.papers[pid] for pid in sorted(kept)]
+    cut = {ref.key for p in papers for ref in p.reference_keys if ref.internal_paper_id not in known}
+    if cut:
+        works = {ref.key: ref for p in papers for ref in p.reference_keys
+                 if ref.internal_paper_id is None and ref.key in cut}
+        works.update((key, ReferenceKey(key)) for key in cut.difference(works))
+        papers = [replace(p, reference_keys=tuple(
+                      ref if ref.internal_paper_id in known else works[ref.key]
+                      for ref in p.reference_keys))
+                  if any(ref.internal_paper_id not in known for ref in p.reference_keys) else p
+                  for p in papers]
 
-    papers = []
-    author_ids: set[int] = set()
-    for pid in sorted(kept):
-        p = corpus.papers[pid]
-        author_ids.update(p.author_ids)
-        if any(ref.internal_paper_id not in kept
-               for ref in p.reference_keys if ref.internal_paper_id is not None):
-            p = replace(p, reference_keys=tuple(
-                ref if ref.internal_paper_id in kept else ReferenceKey(ref.key)
-                for ref in p.reference_keys))
-        papers.append(p)
-
-    authors = [corpus.authors[aid] for aid in sorted(author_ids)]
+    authors = [corpus.authors[aid] for aid in sorted(set().union(*(p.author_ids for p in papers)))]
     affiliation_ids = sorted({fid for a in authors for fid in a.affiliation_ids})
     affiliations = [corpus.affiliations[fid] for fid in affiliation_ids]
     return Corpus(papers, authors, affiliations)
@@ -520,20 +534,35 @@ def _cited(paper_ids, cited, work_columns) -> list:
     return [tuple(map(works.__getitem__, entries)) for entries in cited]
 
 
+def _rows(records, name, **converters) -> list:
+    """Table ``name``'s rows: each record's values in field order, each field
+    named in ``converters`` turned by it."""
+    columns = []
+    for field in _TABLES[name].__dataclass_fields__:
+        column = map(attrgetter(field), records)
+        columns.append(map(converters[field], column) if field in converters else column)
+    return list(zip(*columns))
+
+
 def persist_corpus(corpus: Corpus, path) -> None:
     """Write ``journet-corpus v2``, then one JSON line of four tables, each its record's field
     names once and one row of values per record in id order.  ``works`` holds each distinct
-    cited work once, in order of first citation; a paper's ``reference_keys`` are its rows."""
+    cited work once, in order of first citation; a paper's ``reference_keys`` are its rows.
+    A work is numbered by its plain ``(key, internal_paper_id)``, so equal works share a row
+    whether or not they are one object."""
     tables = corpus.affiliations, corpus.authors, corpus.papers
-    records = [list(map(table.get, sorted(table))) for table in tables]
-    works = dict.fromkeys(ref for paper in records[-1] for ref in paper.reference_keys)
-    row_of = dict(zip(works, range(len(works))))
-    payload = {}
-    for (name, cls), rows in zip(_TABLES.items(), [*records, works]):
-        names = tuple(cls.__dataclass_fields__)
-        payload[name] = {"fields": names, "rows": list(map(attrgetter(*names), rows))}
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=lambda v: sorted(v) if isinstance(v, frozenset) else row_of[v])
+    affiliations, authors, papers = (list(map(table.get, sorted(table))) for table in tables)
+    work = attrgetter(*ReferenceKey.__dataclass_fields__)
+    works = dict.fromkeys(map(work, chain.from_iterable(map(attrgetter("reference_keys"), papers))))
+    row_of = dict(zip(works, range(len(works)))).__getitem__
+    rows = {"affiliations": _rows(affiliations, "affiliations"),
+            "authors": _rows(authors, "authors", affiliation_ids=sorted),
+            "papers": _rows(papers, "papers", pacs_codes=sorted,
+                            reference_keys=lambda refs: list(map(row_of, map(work, refs)))),
+            "works": list(works)}
+    payload = {name: {"fields": list(cls.__dataclass_fields__), "rows": rows[name]}
+               for name, cls in _TABLES.items()}
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     Path(path).write_text(FORMAT_HEADER + "\n" + body + "\n", encoding="utf-8")
 
 

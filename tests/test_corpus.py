@@ -21,6 +21,7 @@ from journet.corpus import (
     validate_corpus,
 )
 from journet.cli import main
+from journet.graph import ID_RULES
 from journet.layers import _LAYERS, Layer, _ends
 
 from conftest import make_authors, make_paper, random_corpus
@@ -136,6 +137,27 @@ def test_ingest_bad_pacs_fatal(tmp_path):
         ingest(tmp_path, papers=bad)
 
 
+@pytest.mark.parametrize("code, valid", [
+    ("05.50.+q", True), ("64.60.Cn", True), ("98.80.-k", True), ("05.50.+q\n", False),
+    ("\n05.50.+q", False), ("05.50.+q ", False), ("5.50.+q", False), ("05.50.+qq", False),
+    ("05.50.+", False), ("05,50.+q", False)])
+def test_validate_and_the_pacs_id_rule_accept_the_same_codes(code, valid):
+    corpus = Corpus([make_paper("v1n1p1", [10], pacs=[code])], make_authors([10]))
+    assert validate_corpus(corpus).kinds() == ([] if valid else ["bad-pacs"])
+    assert bool(ID_RULES["pacs"].fullmatch(code)) is valid
+
+
+def test_validate_judges_a_pacs_code_once_and_reports_it_for_each_paper():
+    corpus = Corpus([make_paper("v1n1p1", [10], pacs=["bad", "05.50.+q"]),
+                     make_paper("v1n1p2", [10], pacs=["64.60.Cn"]),
+                     make_paper("v1n1p3", [10], pacs=["bad", "5.50.+q", "05.50.+q"])],
+                    make_authors([10]))
+    assert [str(v) for v in validate_corpus(corpus).violations] == [
+        "bad-pacs [v1n1p1]: PACS code 'bad' is not NN.NN.xx",
+        "bad-pacs [v1n1p3]: PACS code '5.50.+q' is not NN.NN.xx",
+        "bad-pacs [v1n1p3]: PACS code 'bad' is not NN.NN.xx"]
+
+
 def test_ingest_self_citation_fatal(tmp_path):
     bad = REFERENCES + "v1n1p1,loop,v1n1p1\n"
     with pytest.raises(IngestError, match="cites itself"):
@@ -155,6 +177,9 @@ RULE_CASES = {
         dict(papers=PAPERS.replace("v1n2p1,Second,1,2", "v1n2p1,Second,2,2")),
         "papers.csv:3", "v1n2p1"),
     "pacs-shape": (dict(papers=PAPERS.replace("05.50.+q", "5.50.+q")), "papers.csv:2", "5.50.+q"),
+    # a quoted cell may end in a newline, which `$` alone lets through; the row ends on line 3
+    "pacs-newline": (dict(papers=PAPERS.replace("05.50.+q;64.60.Cn", '"64.60.Cn;05.50.+q\n"')),
+                     "papers.csv:3", repr("05.50.+q\n")),
     "dangling-author": (dict(authorship=AUTHORSHIP + "v1n2p1,999,3\n"), "authorship.csv:6", "999"),
     "author-twice": (dict(authorship=AUTHORSHIP + "v1n2p1,11,3\n"), "authorship.csv:6", "11"),
     "no-authors": (
@@ -233,6 +258,7 @@ LOAD_EDITS = {
     "paper-id-shape": lambda pl: record(pl, "papers", 1).update(paper_id="v1n2p01"),
     "paper-id-columns": lambda pl: record(pl, "papers", 1).update(volume=2),
     "pacs-shape": lambda pl: record(pl, "papers", 0).update(pacs_codes=["5.50.+q", "64.60.Cn"]),
+    "pacs-newline": lambda pl: record(pl, "papers", 0).update(pacs_codes=["05.50.+q\n", "64.60.Cn"]),
     "dangling-author": lambda pl: record(pl, "papers", 1)["author_ids"].append(999),
     "author-twice": lambda pl: record(pl, "papers", 1)["author_ids"].append(11),
     "no-authors": lambda pl: record(pl, "papers", 1).update(author_ids=[]),
@@ -418,6 +444,31 @@ def test_snapshot_detaches_forward_citations():
     # a paper that cites nothing outside the snapshot keeps its record object
     assert snap.papers["v1n1p2"] is corpus.papers["v1n1p2"]
     assert validate_corpus(snap).ok
+
+
+def test_ingest_load_and_snapshot_hold_one_record_per_cited_work(tmp_path):
+    # "later work" is cited with v1n2p1's id twice and by key alone once; a
+    # snapshot before v1n2p1 holds it as one work, the key-alone record
+    corpus = ingest(
+        tmp_path,
+        papers=PAPERS + "v1n1p2,Third,1,1,,05.50.+q\nv1n1p3,Fourth,1,1,,\n",
+        authorship=AUTHORSHIP + "v1n1p2,12,1\nv1n1p3,10,1\n",
+        references=REFERENCES + ("v1n1p1,Another  Work,\nv1n1p1,Later Work,v1n2p1\n"
+                                 "v1n1p2,later  work,v1n2p1\nv1n1p2,another work,\n"
+                                 "v1n1p3,LATER WORK,\n"))
+    path = tmp_path / "c.corpus"
+    persist_corpus(corpus, path)
+    loaded = load_corpus(path)
+    corpora = {"ingested": (corpus, 7, 4), "loaded": (loaded, 7, 4),
+               "snapshot": (snapshot(corpus, TimeIndex(1, 1)), 5, 2),
+               "loaded snapshot": (snapshot(loaded, TimeIndex(1, 1)), 5, 2)}
+    for name, (c, citations, works) in corpora.items():
+        refs = [ref for p in c.papers.values() for ref in p.reference_keys]
+        assert (len(refs), len(set(refs)), len({*map(id, refs)})) == (citations, works, works), name
+    snap = corpora["snapshot"][0]
+    assert snap.papers["v1n1p3"] is corpus.papers["v1n1p3"]
+    (later,) = snap.papers["v1n1p3"].reference_keys
+    assert later in snap.papers["v1n1p1"].reference_keys and later.internal_paper_id is None
 
 
 # -- persistence ---------------------------------------------------------------

@@ -11,6 +11,7 @@ import csv
 import pickle
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -173,7 +174,17 @@ def test_ingest_ignores_row_order(corpus, rng):
         assert first == second
         persist_corpus(first, ordered / "journal.corpus")
         persist_corpus(second, shuffled / "journal.corpus")
-        assert (ordered / "journal.corpus").read_bytes() == (shuffled / "journal.corpus").read_bytes()
+        # the same corpus loaded back, and built by hand with its own record per citation
+        persist_corpus(load_corpus(ordered / "journal.corpus"), Path(tmp, "loaded.corpus"))
+        by_hand = Corpus(
+            [replace(p, reference_keys=tuple(ReferenceKey(r.key, r.internal_paper_id)
+                                             for r in p.reference_keys))
+             for p in first.papers.values()],
+            first.authors.values(), first.affiliations.values())
+        assert by_hand == first
+        persist_corpus(by_hand, Path(tmp, "by-hand.corpus"))
+        files = ["ordered/journal.corpus", "shuffled/journal.corpus", "loaded.corpus", "by-hand.corpus"]
+        assert len({Path(tmp, name).read_bytes() for name in files}) == 1
 
 
 # cited-work keys shaped like other kinds' ids or like Pajek syntax

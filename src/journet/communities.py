@@ -22,7 +22,7 @@ def _betweenness_on_adj(adj, sources=None) -> tuple[list[tuple[int, int]], list[
     """Twice the shortest-path edge betweenness, summed over ``sources``.
 
     ``adj`` holds symmetric rows that iterate ascending neighbour
-    indices: Graph.adjacency()'s dicts or girvan_newman's list copies of
+    indices: Graph.rows()'s dicts or girvan_newman's list copies of
     them.  ``sources`` is ascending, all nodes by default.  Each edge
     (i, j), i < j, met in a source's row gets a slot in the returned edge
     and score lists.  Per source one sweep sets hop distances and path
@@ -68,7 +68,7 @@ def edge_betweenness(graph: Graph) -> dict[Edge, float]:
     if graph.directed:
         raise ValueError("edge betweenness needs an undirected graph; symmetrize first")
     nodes = graph.nodes()
-    edges, scores = _betweenness_on_adj(graph.adjacency())
+    edges, scores = _betweenness_on_adj(tuple(graph.rows()))
     return {(nodes[u], nodes[v]): value / 2.0 for (u, v), value in zip(edges, scores)}
 
 
@@ -93,7 +93,7 @@ def modularity(graph: Graph, partition: Mapping[NodeRef, int]) -> float:
     labels = [partition[node] for node in nodes]
     ends: dict[int, int] = {}  # label -> link ends inside the community: 2 L_c
     degree: dict[int, int] = {}
-    for label, row in zip(labels, graph.adjacency()):
+    for label, row in zip(labels, graph.rows()):
         ends[label] = ends.get(label, 0) + sum(labels[j] == label for j in row)
         degree[label] = degree.get(label, 0) + len(row)
     return sum(2 * m * ends[c] - d * d for c, d in degree.items()) / (4 * m * m)
@@ -144,8 +144,9 @@ def girvan_newman(graph: Graph) -> CommunityResult:
         raise ValueError("community detection needs at least one edge")
 
     nodes = graph.nodes()
-    adj = [list(row) for row in graph.adjacency()]
-    held = list(zip(range(len(adj))))  # the hop form of adj: node i holds row i alone
+    graph = Graph(False, nodes, graph.rows())  # its rows, kept for this run alone
+    adj = [list(row) for row in graph.rows()]
+    held = graph.hops()[1]  # the hop form of adj too: node i holds row i alone
     tops = {}  # least node of a component -> (-score, edge) of its top edge
 
     def sweep(piece):

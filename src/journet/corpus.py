@@ -17,8 +17,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-PAPER_ID_RE = re.compile(r"^v(\d+)n(\d+)p(\d+)$")
-PACS_RE = re.compile(r"^\d{2}\.\d{2}\.[0-9A-Za-z+\-]{2}$")
+PAPER_ID_RE = re.compile(r"^v([0-9]+)n([0-9]+)p([0-9]+)$")
+PACS_RE = re.compile(r"^[0-9]{2}\.[0-9]{2}\.[0-9A-Za-z+\-]{2}$")
 
 FORMAT_HEADER = "journet-corpus v2"
 _V1_HEADER = "journet-corpus v1"  # no longer read: such a file is ingested again
@@ -34,6 +34,13 @@ class IngestError(ValueError):
 
 class CorpusFormatError(ValueError):
     """Persisted corpus file is unreadable or has the wrong format version."""
+
+
+def ascii_int(text: str) -> int:
+    """``int(text)``, less the ``"1_0"`` and other scripts' digits that ``int`` also reads."""
+    if not text.strip().isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 def parse_paper_id(paper_id: str) -> tuple[int, int, int]:
@@ -320,10 +327,11 @@ def _read_rows(path, expected_header, problems):
         if header != expected_header:
             problems.append(((name, 1), f"bad header {header!r}, expected {expected_header!r}"))
             return
+        end = reader.line_num  # a row starts on the line after the one before it ends
         for row in reader:
+            where, end = (name, end + 1), reader.line_num
             if not row:
                 continue
-            where = name, reader.line_num
             if len(row) != len(expected_header):
                 problems.append((where, f"expected {len(expected_header)} fields, got {len(row)}"))
                 continue
@@ -338,7 +346,7 @@ def _repeats(entries) -> list:
 
 def _parse_int(text, what, where, problems, minimum=None):
     try:
-        value = int(text)
+        value = ascii_int(text)
     except ValueError:
         problems.append((where, f"{what} {text!r} is not an integer"))
         return None

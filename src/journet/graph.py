@@ -10,11 +10,11 @@ order.  The :class:`Graph` constructor is the one place that puts rows
 in that form: builders hand it rows in any key order, and it sorts them
 and derives a directed graph's in-rows, or holds a one-mode graph's
 groups and derives each row from them with :func:`_co_members`, the one
-pair-count kernel, when it is read.  Walks need no rows: :func:`bfs`,
-:func:`components` and :func:`neighbour_bits` read any graph's
-:meth:`Graph.hops`.  A graph is immutable once built and every accessor
-returns data in canonical sorted order, so reports and exported files
-are reproducible byte for byte.
+pair-count kernel, each time :meth:`Graph.rows` reads it, keeping none.
+Walks need no rows: :func:`bfs`, :func:`components` and
+:func:`neighbour_bits` read any graph's :meth:`Graph.hops`.  A graph is
+immutable once built and every accessor returns data in canonical
+sorted order, so reports and exported files are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class NodeRef(namedtuple("NodeRef", "kind id")):
 # Each kind's ids written as text, as full-match rules: the one statement of
 # what an id looks like, for CLI tokens and Pajek labels alike.
 ID_RULES = {
-    AUTHOR: re.compile(r"-?\d+"),
+    AUTHOR: re.compile(r"-?[0-9]+"),
     PAPER: PAPER_ID_RE,
     PACS: PACS_RE,
     REFERENCE: re.compile(r".+", re.DOTALL),  # cited-work keys: any non-empty text
@@ -107,8 +107,8 @@ class Graph:
     Build instances with :func:`build_graph`, or straight from nodes and
     rows as the layer builders do; treat them as read-only afterwards.
     A graph may be shared: ``build_layer`` hands every caller the one
-    graph its corpus keeps, so the rows :meth:`adjacency` returns are
-    the graph's own dicts and must never be mutated.
+    graph its corpus keeps, so the rows :meth:`rows` returns are the
+    graph's own dicts and must never be mutated.
     No self-loops, no parallel links (duplicates aggregate into the
     weight), weights always >= 1.
 
@@ -123,8 +123,8 @@ class Graph:
     instead: ascending member index lists, each holding a node once, where two
     nodes link once per group holding both, and the groups holding each
     node.  It keeps both as given, shared with the layer's index, and
-    :meth:`hops` hands them out as they are; :meth:`adjacency` derives
-    and keeps its rows, while :meth:`rows` and :meth:`row` keep none.
+    never rows: :meth:`hops` hands them out as they are, while
+    :meth:`rows` and :meth:`row` derive rows from them and keep none.
     """
 
     def __init__(self, directed, nodes, rows=None, aux=None, groups=None, held=None):
@@ -132,20 +132,15 @@ class Graph:
         self._nodes = tuple(nodes)
         self._index = {node: i for i, node in enumerate(self._nodes)}
         self._aux = dict(aux) if aux else None
-        self._symmetrized = self._degrees = self._out = self._arc_count = None
+        self._symmetrized = self._degrees = self._out = self._in = None
         self._groups, self._held = groups, held
         if groups is None:
-            self._keep(dict(sorted(row.items())) for row in rows)
-
-    def _keep(self, rows):
-        """Store ascending out-rows and derive a directed graph's in-rows."""
-        self._out = self._in = tuple(rows)
-        if self.directed:
-            self._in = tuple({} for _ in self._nodes)
-            for a, row in enumerate(self._out):  # a ascends, so every in-row does too
-                for b, w in row.items():
-                    self._in[b][a] = w
-        self._arc_count = sum(map(len, self._out))
+            self._out = self._in = tuple(dict(sorted(row.items())) for row in rows)
+            if directed:
+                self._in = tuple({} for _ in self._nodes)
+                for a, row in enumerate(self._out):  # a ascends, so every in-row does too
+                    for b, w in row.items():
+                        self._in[b][a] = w
 
     def _group_degrees(self) -> tuple[int, ...]:
         if self._degrees is None:
@@ -165,7 +160,7 @@ class Graph:
         return node in self._index
 
     def index(self, node: NodeRef) -> int:
-        """Position of the node in nodes(): its row in adjacency()."""
+        """Position of the node in nodes(): its row in rows()."""
         return self._index[node]
 
     @property
@@ -177,49 +172,45 @@ class Graph:
 
     @property
     def link_count(self) -> int:
-        if self._arc_count is None:  # group-held: each link counts at both its ends
-            self._arc_count = sum(self._group_degrees())
-        return self._arc_count if self.directed else self._arc_count // 2
+        # a group-held graph counts each link at both its ends, as the out-rows do
+        arcs = sum(self._group_degrees() if self._groups is not None else map(len, self._out))
+        return arcs if self.directed else arcs // 2
 
-    def adjacency(self, direction: str = "out") -> tuple[dict[int, int], ...]:
-        """{neighbour index: weight} rows by node index: "out", "in" or "both" ways.
+    def rows(self, direction: str = "out") -> tuple[dict[int, int], ...] | Iterator[dict[int, int]]:
+        """{neighbour index: weight} rows in node index order: "out", "in" or "both" ways.
 
         "both" gives the rows of :meth:`symmetrized`, whose nodes have
-        the same indices.  All three agree on an undirected graph.  The
-        rows are the graph's own and shared: never mutate them.
+        the same indices.  All three agree on an undirected graph.  A link
+        graph gives its own stored rows, shared: never mutate them.  A
+        group-held graph derives each row as it is reached and keeps none.
         """
         check_direction(direction)
+        if self._groups is not None:
+            return (dict(sorted(self._group_row(i).items())) for i in range(len(self._nodes)))
         if direction == "both":
-            return self.symmetrized().adjacency()
-        if self._out is None:
-            self._keep(self.rows())
-        return self._out if direction == "out" else self._in
+            return self.symmetrized()._out
+        return self._in if direction == "in" else self._out
 
     def hops(self, direction: str = "both") -> tuple:
         """``(groups, held)``: one hop from node ``i`` reaches every member
         of every group in ``held[i]`` but ``i``.  A group-held graph gives
-        its own and keeps no rows; any other, its :meth:`adjacency` rows for
+        its own and keeps no rows; a link graph, its :meth:`rows` for
         ``direction`` as the groups, node ``i`` holding group ``i`` alone."""
         check_direction(direction)
-        if self._groups is None and self._held is None:  # node i holds group i alone: built once
+        if self._groups is not None:
+            return self._groups, self._held
+        if self._held is None:  # node i holds group i alone: built once
             self._held = list(zip(range(len(self._nodes))))
-        return self._groups if self._groups is not None else self.adjacency(direction), self._held
-
-    def rows(self) -> Iterator[dict[int, int]]:
-        """The out-rows of :meth:`adjacency` in index order; a group-held graph
-        without kept rows derives each as it is reached and does not keep it."""
-        if self._out is not None:
-            return iter(self._out)
-        return (dict(sorted(self._group_row(i).items())) for i in range(len(self._nodes)))
+        return self.rows(direction), self._held
 
     def row(self, node: NodeRef, direction: str = "out") -> dict[NodeRef, int]:
         """{neighbour: weight} of one node in node order: its row of
-        :meth:`adjacency` for ``direction``.  A group-held graph derives the
-        row and keeps no rows; a directed graph's "both" merges the node's
+        :meth:`rows` for ``direction``.  A group-held graph derives the
+        row and keeps none; a directed graph's "both" merges the node's
         out-row and in-row as :meth:`symmetrized` does."""
         check_direction(direction)
         i = self._index[node]
-        if self._out is None:
+        if self._groups is not None:
             counts = self._group_row(i)
         elif direction == "both" and self.directed:
             counts = _merged(self._out[i], self._in[i])
@@ -237,7 +228,7 @@ class Graph:
     def degree(self, node: NodeRef) -> int:
         """Neighbour count; for directed graphs out-degree plus in-degree."""
         i = self._index[node]
-        if self._out is None:
+        if self._groups is not None:
             return self._group_degrees()[i]
         return len(self._out[i]) + (len(self._in[i]) if self.directed else 0)
 
@@ -250,7 +241,7 @@ class Graph:
     def _link_rows(self) -> Iterator[dict[int, int]]:
         """Each node's row cut to the links it starts, above the node if undirected; a
         group-held graph counts only those, from its groups' members above it, keeping none."""
-        if self._out is not None:
+        if self._groups is None:
             return (row if self.directed else {j: w for j, w in row.items() if j > i}
                     for i, row in enumerate(self._out))
         groups = self._groups

@@ -177,7 +177,7 @@ def project_one_mode(graph: Graph, kind: str) -> Graph:
     """
     if graph.directed:
         raise ValueError("cannot project a directed graph")
-    nodes, rows = graph.nodes(), graph.adjacency()
+    nodes, rows = graph.nodes(), tuple(graph.rows())
     kept = [i for i, node in enumerate(nodes) if node.kind == kind]
     other = [i for i, node in enumerate(nodes) if node.kind != kind]
     new = {i: k for k, i in enumerate(kept)}  # keeps node order, so the nodes stay sorted
@@ -199,9 +199,9 @@ def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Gr
     The corpus keeps every layer built from it, with the layer's
     symmetrized view once read, for as long as the corpus lives, and a
     later call returns the same graph.  A one-mode layer holds its groups,
-    which statistics and neighbourhoods walk through ``hops()``, and holds
-    its rows (millions of links on a dense 10^4-paper layer) only once
-    ``adjacency()`` is read, as ``communities`` does; ``row()`` keeps none.
+    which statistics and neighbourhoods walk through ``hops()``, and never
+    its rows (millions of links on a dense 10^4-paper layer): ``rows()``
+    and ``row()`` derive them as they are read and keep none.
     The graph is shared, so it must never be mutated.
     """
     internal_only = internal_only and layer is Layer.COCITATION

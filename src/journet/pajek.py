@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import re
 
+from .corpus import ascii_int
 from .graph import ID_RULES, NODE_KINDS, REFERENCE, Graph, NodeRef, build_graph, read_node
 
-_VERTEX_RE = re.compile(r'^(\d+)\s+"(.*)"$')
+_VERTEX_RE = re.compile(r'^([0-9]+)\s+"(.*)"$')
 
 
 class PajekFormatError(ValueError):
@@ -44,7 +45,7 @@ def parse_pajek(text: str, kind: str = "auto") -> Graph:
     if not lines or not lines[0].lower().startswith("*vertices"):
         raise PajekFormatError("line 1: expected '*Vertices N'")
     try:
-        expected = int(lines[0].split()[1])
+        expected = ascii_int(lines[0].split()[1])
     except (IndexError, ValueError):
         raise PajekFormatError("line 1: expected '*Vertices N'") from None
 
@@ -79,11 +80,8 @@ def parse_pajek(text: str, kind: str = "auto") -> Graph:
             nodes[index] = node
             continue
         parts = line.split()
-        if len(parts) not in (2, 3):
-            raise PajekFormatError(f"line {lineno}: bad link line {line!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            w = int(parts[2]) if len(parts) == 3 else 1
+        try:  # two or three fields: weight 1 unless given
+            i, j, w = map(ascii_int, parts + ["1"] if len(parts) == 2 else parts)
         except ValueError:
             raise PajekFormatError(f"line {lineno}: bad link line {line!r}") from None
         if i not in nodes or j not in nodes:

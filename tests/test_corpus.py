@@ -140,7 +140,7 @@ def test_ingest_bad_pacs_fatal(tmp_path):
 @pytest.mark.parametrize("code, valid", [
     ("05.50.+q", True), ("64.60.Cn", True), ("98.80.-k", True), ("05.50.+q\n", False),
     ("\n05.50.+q", False), ("05.50.+q ", False), ("5.50.+q", False), ("05.50.+qq", False),
-    ("05.50.+", False), ("05,50.+q", False)])
+    ("05.50.+", False), ("05,50.+q", False), ("\u0660\u0665.\u0665\u0660.+q", False)])
 def test_validate_and_the_pacs_id_rule_accept_the_same_codes(code, valid):
     corpus = Corpus([make_paper("v1n1p1", [10], pacs=[code])], make_authors([10]))
     assert validate_corpus(corpus).kinds() == ([] if valid else ["bad-pacs"])
@@ -177,9 +177,9 @@ RULE_CASES = {
         dict(papers=PAPERS.replace("v1n2p1,Second,1,2", "v1n2p1,Second,2,2")),
         "papers.csv:3", "v1n2p1"),
     "pacs-shape": (dict(papers=PAPERS.replace("05.50.+q", "5.50.+q")), "papers.csv:2", "5.50.+q"),
-    # a quoted cell may end in a newline, which `$` alone lets through; the row ends on line 3
+    # a quoted cell may end in a newline, which `$` alone lets through; the row starts on line 2
     "pacs-newline": (dict(papers=PAPERS.replace("05.50.+q;64.60.Cn", '"64.60.Cn;05.50.+q\n"')),
-                     "papers.csv:3", repr("05.50.+q\n")),
+                     "papers.csv:2", repr("05.50.+q\n")),
     "dangling-author": (dict(authorship=AUTHORSHIP + "v1n2p1,999,3\n"), "authorship.csv:6", "999"),
     "author-twice": (dict(authorship=AUTHORSHIP + "v1n2p1,11,3\n"), "authorship.csv:6", "11"),
     "no-authors": (
@@ -291,6 +291,25 @@ def test_ingest_reports_each_broken_rule_once_as_load_does(tmp_path, case):
     violation = problem.removeprefix(f"{where}: ")
     assert str(loaded.value).endswith(f"fails validation: {violation}")
     assert re.match(r"[a-z-]+ \[", violation)
+
+
+@pytest.mark.parametrize("edits, problem", [
+    (dict(authors=AUTHORS.replace("10,Ann,1", "1_0,Ann,1")),
+     "authors.csv:2: author_id '1_0' is not an integer"),
+    (dict(authorship=AUTHORSHIP.replace("v1n2p1,12,2", "v1n2p1,\u0661\u0662,2")),
+     "authorship.csv:5: author_id '\u0661\u0662' is not an integer"),
+    (dict(papers=PAPERS.replace("v1n2p1,Second,1,2,2001", "v1n2p1,Second,1,2,2_001")),
+     "papers.csv:3: year '2_001' is not an integer"),
+], ids=["underscore", "arabic-indic", "year"])
+def test_ingest_reads_integer_cells_in_ascii_digits_only(tmp_path, edits, problem):
+    with pytest.raises(IngestError) as info:
+        ingest(tmp_path, **edits)
+    assert problem in info.value.problems
+
+
+def test_ingest_still_reads_a_signed_or_padded_integer_cell(tmp_path):
+    padded = ingest(tmp_path, authorship=AUTHORSHIP.replace("v1n1p1,11,2", "v1n1p1, +11 ,+2"))
+    assert padded.papers == ingest(tmp_path).papers
 
 
 def test_ingest_wrong_header_fatal(tmp_path):

@@ -146,7 +146,7 @@ def test_adjacency_rows_degree_matches_scan():
 def assert_rows_ascending(g):
     # Pajek bytes and BFS visit order follow row order, which == on graphs ignores
     for direction in ("out", "in", "both"):
-        for row in g.adjacency(direction):
+        for row in g.rows(direction):
             assert list(row) == sorted(row), direction
 
 
@@ -201,11 +201,11 @@ def test_constructor_sorts_rows_and_derives_in_rows(seed):
             transpose[j][i] = w
             edges[i][j] = edges[j][i] = w
     directed = Graph(True, nodes, iter(shuffled_rows(rng, arcs)))
-    assert list(directed.adjacency("out")) == arcs
-    assert list(directed.adjacency("in")) == transpose
+    assert list(directed.rows("out")) == arcs
+    assert list(directed.rows("in")) == transpose
     assert_rows_ascending(directed)
     undirected = Graph(False, nodes, shuffled_rows(rng, edges))
-    assert list(undirected.adjacency()) == edges
+    assert list(undirected.rows()) == edges
     assert_rows_ascending(undirected)
 
 
@@ -232,7 +232,7 @@ def test_bad_direction_is_rejected_by_name(directed):
         graphs.append(build_layer(random_corpus(random.Random(5)), Layer.PAPER_COMMON_PACS))
     for g in graphs:
         seed = g.nodes()[0]
-        for read in (lambda: g.adjacency("sideways"), lambda: g.row(seed, "sideways")):
+        for read in (lambda: g.rows("sideways"), lambda: g.row(seed, "sideways")):
             with pytest.raises(ValueError, match="'out', 'in' or 'both', got 'sideways'"):
                 read()
 
@@ -251,7 +251,7 @@ def test_directed_degree_is_out_row_plus_in_row():
     nodes = [paper_node(f"v1n1p{i}") for i in range(1, 16)]
     links = [(u, v, 1) for u in nodes for v in nodes if u != v and rng.random() < 0.2]
     g = build_graph(True, links)
-    out, in_ = g.adjacency("out"), g.adjacency("in")
+    out, in_ = tuple(g.rows("out")), tuple(g.rows("in"))
     for node in g.nodes():
         i = g.index(node)
         assert g.degree(node) == len(out[i]) + len(in_[i])

@@ -6,7 +6,7 @@ import pytest
 
 from journet import graph as graph_module
 from journet.cli import main
-from journet.communities import edge_betweenness, girvan_newman
+from journet.communities import canonical_partition, edge_betweenness, girvan_newman, modularity
 from journet.corpus import Corpus, load_corpus, persist_corpus, snapshot, validate_corpus
 from journet.graph import (
     Graph,
@@ -448,7 +448,7 @@ def test_link_layer_matches_noderef_route(layer, corpus_id):
     g = build_layer(corpus, layer)
     expected = noderef_link_graph(corpus, layer)
     assert g == expected
-    assert g.adjacency("in") == expected.adjacency("in")
+    assert tuple(g.rows("in")) == tuple(expected.rows("in"))
     assert g.symmetrized() == expected.symmetrized()
     assert_rows_ascending(g)
 
@@ -525,7 +525,7 @@ def fresh(corpus):
 
 def assert_same_layer(g, expected):
     assert g == expected
-    assert g.adjacency("in") == expected.adjacency("in")
+    assert tuple(g.rows("in")) == tuple(expected.rows("in"))
     assert g.symmetrized() == expected.symmetrized()
     assert g.aux_counts == expected.aux_counts
     assert_rows_ascending(g)
@@ -618,14 +618,14 @@ def test_group_held_layer_reads_like_the_graph_of_its_links(build, seed):
     links = g.link_count
     streamed = list(g.rows())
     texts = export_pajek(g), adjacency_report_csv(g), degree_distribution_csv(degree_stats(g))
-    rows = build_graph(False, g.links(), isolated_nodes=g.nodes()).adjacency()
+    rows = tuple(build_graph(False, g.links(), isolated_nodes=g.nodes()).rows())
     eager = Graph(False, g.nodes(), rows, aux=g.aux_counts)  # the adjacency report prints aux
-    assert streamed == list(rows) == list(g.adjacency())
+    assert streamed == list(rows) == list(g.rows())
     assert degrees == [len(row) for row in rows] and links * 2 == sum(degrees)
     assert texts == (export_pajek(eager), adjacency_report_csv(eager),
                      degree_distribution_csv(degree_stats(eager)))
     assert g == eager and g.link_count == links
-    assert [g.degree(node) for node in g.nodes()] == degrees  # now off the kept rows
+    assert [g.degree(node) for node in g.nodes()] == degrees  # still off the bitsets: no row was kept
     assert_rows_ascending(g)
 
 
@@ -638,10 +638,9 @@ def test_writers_derive_each_row_once_and_keep_none(build, monkeypatch):
     assert calls == each_row
     report = adjacency_report_csv(g)
     assert calls == 2 * each_row
-    g.adjacency()  # derives every row again, since neither writer kept one
+    tuple(g.rows())  # derives every row again, since neither writer kept one
     assert calls == 3 * each_row
     assert (export_pajek(g), adjacency_report_csv(g)) == (text, report)
-    assert g.adjacency() is g.adjacency() and len(calls) == 3 * g.node_count  # kept rows are read
 
 
 @pytest.mark.parametrize("build", ONE_MODE_BUILDS, ids=one_mode_id)
@@ -656,6 +655,26 @@ def test_statistics_and_neighbourhoods_keep_no_rows(build, monkeypatch):
     for metric in EVOLUTION_METRICS:  # each snapshot's layer too
         evolution_series(corpus, build[0], metric)
     assert calls == [] and g._out is None  # no row derived, so none kept
+
+
+@pytest.mark.parametrize("build", ONE_MODE_BUILDS, ids=one_mode_id)
+def test_communities_statistics_and_projection_keep_no_rows(build, monkeypatch):
+    corpus = random_corpus(random.Random(99))
+    g = build_layer(corpus, *build)
+    assert g.link_count > 0
+    girvan_newman(g)
+    edge_betweenness(g)
+    modularity(g, canonical_partition(connected_components(g)))
+    metrics_report(g)
+    with pytest.raises(ValueError):  # one kind of node: nothing to project away
+        project_one_mode(g, g.nodes()[0].kind)
+    calls = count_row_kernel(monkeypatch)
+    tuple(g.rows())
+    assert calls == list(range(g.node_count))  # no row was kept: each is derived again
+    link_layer = build_layer(corpus, Layer.PAPER_CITATION)
+    for graph in (g, link_layer):
+        with pytest.raises(ValueError, match="'out', 'in' or 'both', got 'sideways'"):
+            graph.rows("sideways")
 
 
 def persisted_random_corpus(tmp_path, seed) -> str:
@@ -695,7 +714,7 @@ def test_row_equals_the_kept_row_of_a_second_build(corpus_id):
         nodes = expected.nodes()
         assert g.nodes() == nodes
         for direction in DIRECTIONS:
-            for node, row in zip(nodes, expected.adjacency(direction)):
+            for node, row in zip(nodes, expected.rows(direction)):
                 assert list(g.row(node, direction).items()) == [(nodes[j], w) for j, w in row.items()]
         if _LAYERS[layer][1] is not None:
             assert g._out is None, layer  # each row was derived and none kept
@@ -710,7 +729,7 @@ def test_retrieval_leaves_one_mode_layers_group_held(monkeypatch):
         layer_overlap(corpus, paper_node(pid), layers)
         assert calls[-4:] == [i] * 4  # the seed's row in each layer, each query
     for layer in layers:
-        g, expected = build_layer(corpus, layer), build_layer(fresh(corpus), layer).adjacency()
+        g, expected = build_layer(corpus, layer), tuple(build_layer(fresh(corpus), layer).rows())
         calls.clear()
         assert list(g.rows()) == list(expected)
         assert calls == list(range(g.node_count))  # no row was kept: each is derived again

@@ -82,7 +82,8 @@ def test_auto_kind_rejects_a_label_no_rule_accepts():
 @pytest.mark.parametrize("kind, good, bad", [
     ("paper", "v1n1p1", "foo"), ("paper", "v1n1p1", "42"), ("paper", "v1n1p1", "v1n1p1 "),
     ("pacs", "05.50.+q", "xx"), ("pacs", "05.50.+q", "v1n1p1"), ("pacs", "05.50.+q", "05.50.+qq"),
-    ("author", "7", "+5"), ("reference", "7", ""),
+    ("author", "7", "+5"), ("author", "7", "\u0661\u0662"), ("paper", "v1n1p1", "v\u0661n1p1"),
+    ("reference", "7", ""),
 ])
 def test_forced_kind_rejects_a_label_of_another_shape(kind, good, bad):
     text = f'*Vertices 2\n1 "{good}"\n2 "{bad}"\n*Edges\n'
@@ -108,11 +109,30 @@ def test_parse_rejects_malformed():
         parse_pajek('*Vertices 3\n1 "1"\n*Edges\n')
     with pytest.raises(PajekFormatError, match="Edges"):
         parse_pajek('*Vertices 1\n1 "1"\n')
+    for line in ("1", "1 2 1 1"):  # a link line holds two or three fields
+        with pytest.raises(PajekFormatError, match=f"^line 5: bad link line '{line}'$"):
+            parse_pajek(f'*Vertices 2\n1 "1"\n2 "2"\n*Edges\n{line}\n')
     with pytest.raises(PajekFormatError, match="line 4: self-loop link '1 1 1'"):
         parse_pajek('*Vertices 1\n1 "1"\n*Edges\n1 1 1\n')
     for weight in ("0", "-3"):
         with pytest.raises(PajekFormatError, match=f"line 5: link weight below 1 in '1 2 {weight}'"):
             parse_pajek(f'*Vertices 2\n1 "1"\n2 "2"\n*Arcs\n1 2 {weight}\n')
+
+
+@pytest.mark.parametrize("text, message", [
+    ('*Vertices 2\n\u0661 "1"\n2 "2"\n*Edges\n', "line 2: bad vertex line"),
+    ('*Vertices 2\n1 "1"\n2 "2"\n*Edges\n1 2 1_0\n', "line 5: bad link line '1 2 1_0'"),
+    ('*Vertices 2\n1 "1"\n2 "2"\n*Edges\n1 \u0662 1\n', "line 5: bad link line"),
+    ('*Vertices \u0662\n1 "1"\n2 "2"\n*Edges\n', "line 1: expected"),
+], ids=["vertex-index", "link-weight", "link-end", "vertex-count"])
+def test_parse_reads_ascii_digits_only(text, message):
+    with pytest.raises(PajekFormatError, match=f"^{re.escape(message)}"):
+        parse_pajek(text)
+
+
+def test_parse_still_reads_a_signed_link_field():
+    g = parse_pajek('*Vertices 2\n1 "1"\n2 "2"\n*Edges\n+1 2 +3\n')
+    assert list(g.links()) == [(author_node(1), author_node(2), 3)]
 
 
 def test_parse_rejects_repeated_label():

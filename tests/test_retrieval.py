@@ -231,9 +231,9 @@ def messy_corpus():
 
 
 def built_row(graph, seed, direction):
-    """The seed's neighbours and weights, read off a layer's kept rows."""
+    """The seed's neighbours and weights, read off a layer's rows."""
     nodes = graph.nodes()
-    return {nodes[j]: w for j, w in graph.adjacency(direction)[graph.index(seed)].items()}
+    return {nodes[j]: w for j, w in tuple(graph.rows(direction))[graph.index(seed)].items()}
 
 
 def named_journal(corpus_id):

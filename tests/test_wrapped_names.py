@@ -1,10 +1,10 @@
-"""The functions the benchmark's span tracer wraps in ``journet.corpus`` and
-``journet.pajek`` still exist.
+"""Every function the benchmark's span tracer wraps still exists.
 
 ``bench/spans.py`` names the functions it times in ``WRAPPED``; a name that
 no longer exists is left out of the trace without an error, and the
-``corpus.load_s`` and ``pajek.*`` figures built from it go with it.  The
-names are read from that file as it is; nothing under ``bench/`` runs.
+figures built from it (``corpus.load_s``, ``communities.modularity_s``,
+``pajek.*`` and the rest) go with it.  The names are read from that file
+as it is; nothing under ``bench/`` runs.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ import pytest
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
+# Names the tracer still lists though the function is gone; the benchmark's
+# own change mends them (ROADMAP item 3).
+STALE = {("layers", "build_bipartite"): "deleted function still in WRAPPED (ROADMAP item 3)"}
+
 
 def wrapped_names() -> dict[str, tuple[str, ...]]:
     """``WRAPPED`` of ``bench/spans.py``, read as a literal."""
@@ -26,8 +30,13 @@ def wrapped_names() -> dict[str, tuple[str, ...]]:
     raise AssertionError(f"{SPANS} assigns no WRAPPED")
 
 
-@pytest.mark.parametrize("module", ["corpus", "pajek"])
-def test_every_function_the_bench_wraps_exists(module):
-    names = wrapped_names()[module]
-    namespace = importlib.import_module(f"journet.{module}")
-    assert names and [n for n in names if not callable(getattr(namespace, n, None))] == []
+WRAPPED = [
+    pytest.param(module, name, id=f"{module}.{name}", marks=[
+        pytest.mark.xfail(strict=True, reason=STALE[module, name])] if (module, name) in STALE else [])
+    for module, names in wrapped_names().items() for name in names
+]
+
+
+@pytest.mark.parametrize("module, name", WRAPPED)
+def test_every_function_the_bench_wraps_exists(module, name):
+    assert callable(getattr(importlib.import_module(f"journet.{module}"), name, None))

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import reports
 from .communities import community_of, girvan_newman
-from .corpus import TimeIndex, ingest_corpus, load_corpus, persist_corpus, snapshot
+from .corpus import TimeIndex, ascii_int, ingest_corpus, load_corpus, persist_corpus, snapshot
 from .graph import ID_RULES, NodeRef, read_node
 from .layers import Layer, build_layer, layer_from_token
 from .metrics import EVOLUTION_METRICS, degree_stats, evolution_series, metrics_report
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_arg(p)
     p.add_argument("--layer", required=True, choices=LAYER_TOKENS)
     p.add_argument("--node", required=True, help=NODE_HELP)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=ascii_int, required=True)
     p.add_argument("--direction", choices=list(DIRECTIONS), default="both")
     p.set_defaults(func=_cmd_neighbors)
 

@@ -17,7 +17,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-PAPER_ID_RE = re.compile(r"^v([0-9]+)n([0-9]+)p([0-9]+)$")
+_TIME_INDEX = r"v([1-9][0-9]*)n([1-9][0-9]*)"  # positive volume and issue, no leading zeros
+PAPER_ID_RE = re.compile(_TIME_INDEX + r"p(0|[1-9][0-9]*)")  # the canonical paper id, to fullmatch
 PACS_RE = re.compile(r"^[0-9]{2}\.[0-9]{2}\.[0-9A-Za-z+\-]{2}$")
 
 FORMAT_HEADER = "journet-corpus v2"
@@ -45,15 +46,11 @@ def ascii_int(text: str) -> int:
 
 def parse_paper_id(paper_id: str) -> tuple[int, int, int]:
     """Split a canonical paper id into (volume, issue, seq) or raise ValueError."""
-    m = isinstance(paper_id, str) and PAPER_ID_RE.match(paper_id)
+    m = isinstance(paper_id, str) and PAPER_ID_RE.fullmatch(paper_id)
     if not m:
-        raise ValueError(f"paper id {paper_id!r} does not match v<vol>n<issue>p<seq>")
-    volume, issue, seq = (int(g) for g in m.groups())
-    if f"v{volume}n{issue}p{seq}" != paper_id:
-        raise ValueError(f"paper id {paper_id!r} is not in canonical form")
-    if volume < 1 or issue < 1:
-        raise ValueError(f"paper id {paper_id!r} has a non-positive volume or issue")
-    return volume, issue, seq
+        raise ValueError(f"paper id {paper_id!r} does not match v<vol>n<issue>p<seq>"
+                         " (positive volume and issue, no leading zeros)")
+    return tuple(map(int, m.groups()))
 
 
 def normalize_ref_key(raw: str) -> str:
@@ -69,7 +66,7 @@ class TimeIndex(NamedTuple):
 
     @classmethod
     def parse(cls, token: str) -> "TimeIndex":
-        m = re.fullmatch(r"v([1-9][0-9]*)n([1-9][0-9]*)", token)
+        m = re.fullmatch(_TIME_INDEX, token)
         if not m:
             raise ValueError(
                 f"time index {token!r} does not match v<vol>n<issue> (positive, no leading zeros)"
@@ -148,7 +145,8 @@ class ValidationReport:
 
 
 class Corpus:
-    """Immutable record store: papers, authors and affiliations by id.
+    """Immutable record store: papers, authors and affiliations by id, each
+    table in id order whatever order its records come in.
 
     A corpus is never mutated: ingest, load and snapshot each build a new
     one from its records.  Its one private memo holds what ``layers``
@@ -197,9 +195,11 @@ class Corpus:
 
 
 def _by_id(records: Iterable, kind: str) -> dict:
-    """Key records by their ``<kind>_id`` field; a repeated id is a ValueError."""
+    """Key records by their ``<kind>_id`` field in id order; a repeated id is a
+    ValueError, naming the first repeat in the order the records came."""
     records, id_of = list(records), attrgetter(f"{kind}_id")
-    table = dict(zip(map(id_of, records), records))
+    ordered = _sorted(records, id_of)
+    table = dict(zip(map(id_of, ordered), ordered))
     if len(table) < len(records):
         raise ValueError(f"duplicate {kind} id {_repeats(map(id_of, records))[0]}")
     return table
@@ -209,7 +209,8 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     """List every invariant violation; an empty report means the corpus is valid.
 
     Read-only: violations are data, not exceptions.  This is the one
-    statement of the record rules, for ingest and load alike.  Each
+    statement of the record rules, for ingest and load alike.  Violations
+    come table by table, each table read in its own id order.  Each
     violation names its record and, for a rule about one entry of it, the
     offending ``item``.  A field of the wrong type, as a hand-edited corpus
     file may hold, is a violation too.  A PACS code is judged once however
@@ -222,8 +223,7 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     def bad(kind, subject, message, item=None):
         out.append(Violation(kind, subject, message, item))
 
-    for fid in _sorted(corpus.affiliations):
-        affiliation = corpus.affiliations[fid]
+    for fid, affiliation in corpus.affiliations.items():
         if type(fid) is not int:
             bad("bad-affiliation-id", fid, f"affiliation id {fid!r} is not an integer")
         if type(affiliation.name) is not str:
@@ -232,8 +232,7 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             bad("bad-field", fid, f"country {affiliation.country!r} is not text")
 
     # Authors before papers: a wrong-typed author id also leaves its papers' authors dangling.
-    for aid in _sorted(corpus.authors):
-        author = corpus.authors[aid]
+    for aid, author in corpus.authors.items():
         if type(aid) is not int:
             bad("bad-author-id", aid, f"author id {aid!r} is not an integer")
         if type(author.name) is not str:
@@ -244,8 +243,7 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             elif fid not in corpus.affiliations:
                 bad("dangling-affiliation", aid, f"affiliation {fid} has no record", fid)
 
-    for pid in _sorted(corpus.papers):
-        paper = corpus.papers[pid]
+    for pid, paper in corpus.papers.items():
         if type(paper.title) is not str:
             bad("bad-field", pid, f"title {paper.title!r} is not text")
         if type(paper.volume) is not int:
@@ -295,12 +293,12 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     return ValidationReport(out)
 
 
-def _sorted(ids: Iterable) -> list:
-    """Ids sorted, each type apart where they are of more than one type."""
+def _sorted(items: Iterable, key=lambda x: x) -> list:
+    """Items sorted by ``key``, each key type apart where keys are of more than one type."""
     try:
-        return sorted(ids)
+        return sorted(items, key=key)
     except TypeError:  # an id of the wrong type, as a hand-edited corpus file may hold
-        return sorted(ids, key=lambda x: (type(x).__name__, x))
+        return sorted(items, key=lambda x: (type(key(x)).__name__, key(x)))
 
 
 # -- CSV ingestion ----------------------------------------------------------
@@ -475,11 +473,10 @@ def snapshot(corpus: Corpus, as_of: TimeIndex) -> Corpus:
     shared by the papers citing it: the one a kept paper already cites
     by key alone, else a new one.  Only a paper with such a citation
     gets a new record; every other record is the parent's own object.
-    The result is itself valid.
+    The result is itself valid, and in id order as every corpus is.
     """
-    kept = {pid for pid, p in corpus.papers.items() if p.time_index <= as_of}
-    known = kept | {None}  # a kept citation's internal id; None is a work outside the journal
-    papers = [corpus.papers[pid] for pid in sorted(kept)]
+    papers = [p for p in corpus.papers.values() if p.time_index <= as_of]
+    known = {p.paper_id for p in papers} | {None}  # None: a work outside the journal
     cut = {ref.key for p in papers for ref in p.reference_keys if ref.internal_paper_id not in known}
     if cut:
         works = {ref.key: ref for p in papers for ref in p.reference_keys
@@ -491,10 +488,9 @@ def snapshot(corpus: Corpus, as_of: TimeIndex) -> Corpus:
                   if any(ref.internal_paper_id not in known for ref in p.reference_keys) else p
                   for p in papers]
 
-    authors = [corpus.authors[aid] for aid in sorted(set().union(*(p.author_ids for p in papers)))]
-    affiliation_ids = sorted({fid for a in authors for fid in a.affiliation_ids})
-    affiliations = [corpus.affiliations[fid] for fid in affiliation_ids]
-    return Corpus(papers, authors, affiliations)
+    authors = list(map(corpus.authors.__getitem__, set().union(*(p.author_ids for p in papers))))
+    affiliation_ids = set().union(*(a.affiliation_ids for a in authors))
+    return Corpus(papers, authors, map(corpus.affiliations.__getitem__, affiliation_ids))
 
 
 # -- persistence --------------------------------------------------------------
@@ -554,17 +550,16 @@ def _rows(records, name, **converters) -> list:
 
 def persist_corpus(corpus: Corpus, path) -> None:
     """Write ``journet-corpus v2``, then one JSON line of four tables, each its record's field
-    names once and one row of values per record in id order.  ``works`` holds each distinct
-    cited work once, in order of first citation; a paper's ``reference_keys`` are its rows.
+    names once and one row of values per record, in the corpus's own id order.  ``works`` holds
+    each distinct cited work once, in order of first citation; a paper's ``reference_keys`` are
+    its rows.
     A work is numbered by its plain ``(key, internal_paper_id)``, so equal works share a row
     whether or not they are one object."""
-    tables = corpus.affiliations, corpus.authors, corpus.papers
-    affiliations, authors, papers = (list(map(table.get, sorted(table))) for table in tables)
-    work = attrgetter(*ReferenceKey.__dataclass_fields__)
+    papers, work = corpus.papers.values(), attrgetter(*ReferenceKey.__dataclass_fields__)
     works = dict.fromkeys(map(work, chain.from_iterable(map(attrgetter("reference_keys"), papers))))
     row_of = dict(zip(works, range(len(works)))).__getitem__
-    rows = {"affiliations": _rows(affiliations, "affiliations"),
-            "authors": _rows(authors, "authors", affiliation_ids=sorted),
+    rows = {"affiliations": _rows(corpus.affiliations.values(), "affiliations"),
+            "authors": _rows(corpus.authors.values(), "authors", affiliation_ids=sorted),
             "papers": _rows(papers, "papers", pacs_codes=sorted,
                             reference_keys=lambda refs: list(map(row_of, map(work, refs)))),
             "works": list(works)}

@@ -7,10 +7,11 @@ nodes needs no key.  Links carry positive integer weights counting
 multiplicity: shared papers, shared codes, co-citations.  Each node's
 row is one dict from neighbour index to weight, its keys in ascending
 order.  The :class:`Graph` constructor is the one place that puts rows
-in that form: builders hand it rows in any key order, and it sorts them
-and derives a directed graph's in-rows, or holds a one-mode graph's
-groups and derives each row from them with :func:`_co_members`, the one
-pair-count kernel, each time :meth:`Graph.rows` reads it, keeping none.
+in that form: builders hand it rows in any key order, and it sorts them,
+refuses a self-loop and derives a directed graph's in-rows, or holds a
+one-mode graph's groups.  ``Graph._row`` reads any one row, deriving a
+group-held one with :func:`_co_members`, the one pair-count kernel, and
+keeping none.
 Walks need no rows: :func:`bfs`, :func:`components` and
 :func:`neighbour_bits` read any graph's :meth:`Graph.hops`.  A graph is
 immutable once built and every accessor returns data in canonical
@@ -109,8 +110,9 @@ class Graph:
     A graph may be shared: ``build_layer`` hands every caller the one
     graph its corpus keeps, so the rows :meth:`rows` returns are the
     graph's own dicts and must never be mutated.
-    No self-loops, no parallel links (duplicates aggregate into the
-    weight), weights always >= 1.
+    No parallel links (duplicates aggregate into the weight), weights
+    always >= 1, and no self-loops: the constructor refuses a row that
+    holds its own node.
 
     ``nodes`` come in sorted order and node ``i`` is ``nodes[i]``.
     ``rows`` is any iterable giving, for each node in turn, a mapping
@@ -136,6 +138,9 @@ class Graph:
         self._groups, self._held = groups, held
         if groups is None:
             self._out = self._in = tuple(dict(sorted(row.items())) for row in rows)
+            for i, row in enumerate(self._out):
+                if i in row:
+                    raise GraphError(f"self-loop rejected: ({self._nodes[i]}, {self._nodes[i]})")
             if directed:
                 self._in = tuple({} for _ in self._nodes)
                 for a, row in enumerate(self._out):  # a ascends, so every in-row does too
@@ -186,7 +191,7 @@ class Graph:
         """
         check_direction(direction)
         if self._groups is not None:
-            return (dict(sorted(self._group_row(i).items())) for i in range(len(self._nodes)))
+            return (dict(sorted(self._row(i).items())) for i in range(len(self._nodes)))
         if direction == "both":
             return self.symmetrized()._out
         return self._in if direction == "in" else self._out
@@ -205,22 +210,20 @@ class Graph:
 
     def row(self, node: NodeRef, direction: str = "out") -> dict[NodeRef, int]:
         """{neighbour: weight} of one node in node order: its row of
-        :meth:`rows` for ``direction``.  A group-held graph derives the
-        row and keeps none; a directed graph's "both" merges the node's
-        out-row and in-row as :meth:`symmetrized` does."""
+        :meth:`rows` for ``direction``, read with :meth:`_row`."""
         check_direction(direction)
-        i = self._index[node]
-        if self._groups is not None:
-            counts = self._group_row(i)
-        elif direction == "both" and self.directed:
-            counts = _merged(self._out[i], self._in[i])
-        else:
-            counts = (self._in if direction == "in" else self._out)[i]
-        nodes = self._nodes
+        counts, nodes = self._row(self._index[node], direction), self._nodes
         return {nodes[j]: counts[j] for j in sorted(counts)}
 
-    def _group_row(self, i: int) -> Counter:
-        return _co_members(i, map(self._groups.__getitem__, self._held[i]))
+    def _row(self, i: int, direction: str = "out") -> dict[int, int]:
+        """Node ``i``'s {neighbour index: weight}, keys in any order.  A group-held
+        graph derives it and keeps none; a directed graph's "both" merges the node's
+        out-row and in-row as :meth:`symmetrized` does; any other is the stored row."""
+        if self._groups is not None:
+            return _co_members(i, map(self._groups.__getitem__, self._held[i]))
+        if direction == "both" and self.directed:
+            return _merged(self._out[i], self._in[i])
+        return (self._in if direction == "in" else self._out)[i]
 
     def has_link(self, u: NodeRef, v: NodeRef) -> bool:
         return u in self._index and v in self.row(u)
@@ -288,7 +291,7 @@ def build_graph(
     ``isolated_nodes`` and both ends of every link, numbered in sorted
     order.  Duplicate links add their weights.  For undirected graphs
     (u, v) and (v, u) are the same link, written into the rows of both
-    ends.  Self-loops and weights below 1 are rejected.
+    ends.  Weights below 1 are rejected here, and self-loops by :class:`Graph`.
     """
     links = list(links)
     ends = {*isolated_nodes, *(u for u, _, _ in links), *(v for _, v, _ in links)}
@@ -297,8 +300,6 @@ def build_graph(
     arcs: list[dict[int, int]] = [{} for _ in nodes]  # a -> {b: weight of a -> b}
     for u, v, w in links:
         a, b = index[u], index[v]
-        if a == b:
-            raise GraphError(f"self-loop rejected: ({u}, {v})")
         if not isinstance(w, int) or isinstance(w, bool) or w < 1:
             raise GraphError(f"link weight must be an integer >= 1, got {w!r} for ({u}, {v})")
         arcs[a][b] = arcs[a].get(b, 0) + w

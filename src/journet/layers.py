@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import Callable, Iterable
 
 from .corpus import Corpus
@@ -30,7 +29,6 @@ from .graph import (
     PAPER,
     REFERENCE,
     Graph,
-    GraphError,
     NodeRef,
 )
 
@@ -65,17 +63,13 @@ class _Relation:
     """Links from left nodes (side 0) to right nodes (side 1).
 
     ``pairs(corpus)`` gives the (left id, right id) pair of every link the
-    records hold, a link as often as the records repeat it; ``keeps[s]``,
-    if given, maps the corpus to the ids side ``s`` holds even without a
-    link.  :func:`_ends` numbers the ids and indexes the pairs both ways.
+    records hold, a link as often as the records repeat it.  :func:`_ends`
+    numbers the ids and indexes the pairs both ways; a side's kind says
+    which of its ids it holds without a link.
     """
 
     kinds: tuple[str, str]
     pairs: Callable[[Corpus], Iterable[tuple]]
-    keeps: tuple[Callable | None, Callable | None]
-
-
-_AUTHORS, _PAPERS = attrgetter("authors"), attrgetter("papers")
 
 
 def _journal_work_citations(c: Corpus) -> Iterable[tuple]:
@@ -89,45 +83,43 @@ def _journal_work_citations(c: Corpus) -> Iterable[tuple]:
 _WROTE = _Relation(
     (AUTHOR, PAPER),
     lambda c: ((a, p.paper_id) for p in c.papers.values() for a in p.author_ids),
-    (_AUTHORS, _PAPERS),
 )
 _CARRIES = _Relation(
     (PAPER, PACS),
     lambda c: ((p.paper_id, k) for p in c.papers.values() for k in p.pacs_codes),
-    (_PAPERS, None),
 )
 _CITES_WORK = _Relation(
     (PAPER, REFERENCE),
     lambda c: ((p.paper_id, r.key) for p in c.papers.values() for r in p.reference_keys),
-    (_PAPERS, None),
 )
 _CITES_PAPER = _Relation(
     (PAPER, PAPER),
     lambda c: ((p.paper_id, r.internal_paper_id) for p in c.papers.values()
                for r in p.reference_keys if r.internal_paper_id is not None),
-    (_PAPERS, _PAPERS),
 )
-_CITES_JOURNAL_WORK = _Relation((PAPER, REFERENCE), _journal_work_citations, (_PAPERS, None))
+_CITES_JOURNAL_WORK = _Relation((PAPER, REFERENCE), _journal_work_citations)
 _USES_CODE = _Relation(  # authors on record only
     (AUTHOR, PACS),
     lambda c: ((a, k) for p in c.papers.values() for a in p.author_ids if a in c.authors
                for k in p.pacs_codes),
-    (_AUTHORS, None),
 )
 
 
 def _ends(corpus: Corpus, relation: _Relation) -> tuple[tuple[list, list], tuple[list, list]]:
     """A relation's links numbered and indexed both ways, as ``(ids, far)``.
 
-    ``ids[s]`` lists every id side ``s`` holds, linked or kept, in
-    ascending order, and id ``ids[s][i]`` is number ``i`` of its side; a
-    relation between nodes of one kind numbers both sides as one.
+    ``ids[s]`` lists every id side ``s`` holds, in ascending order, and id
+    ``ids[s][i]`` is number ``i`` of its side.  A side of authors or papers
+    holds every one on record, linked or not; a side of codes or works
+    holds only the linked ones.  A relation between nodes of one kind
+    numbers both sides as one.
     ``far[s][i]`` lists the numbers of that id's far ends, ascending, each
     once however often the records repeat the link.  Built on first call
     and kept in the corpus, like its layers, which share the lists.
     """
     if relation not in corpus._memo:
-        left, right = (keep(corpus) if keep else () for keep in relation.keeps)
+        on_record = {AUTHOR: corpus.authors, PAPER: corpus.papers}
+        left, right = (on_record.get(kind, ()) for kind in relation.kinds)
         ends, held = defaultdict(dict, {x: {} for x in left}), set(right)
         for x, y in relation.pairs(corpus):
             ends[x][y] = None
@@ -217,8 +209,8 @@ def _build(corpus: Corpus, layer: Layer, relation: _Relation) -> Graph:
     The nodes are the ids of every side the layer keeps, linked or not,
     sorted by (kind, id), so each kind's ids take one run of indices.  A
     link layer writes each side's far ends as that side's rows at weight
-    1, or only the left side's as out-rows if the layer is directed; a
-    link from a node to itself raises GraphError.  A one-mode layer's
+    1, or only the left side's as out-rows if the layer is directed
+    (``Graph`` refuses a link from a node to itself).  A one-mode layer's
     graph holds the far ends of each other-side id as a group, and the
     far ends of each of its own ids as the groups holding it.
     Co-authorship counts each author's papers as aux.
@@ -237,9 +229,6 @@ def _build(corpus: Corpus, layer: Layer, relation: _Relation) -> Graph:
         start[sides[1]] = len(ids[sides[0]])
     nodes = [NodeRef(kinds[s], x) for s in sides for x in ids[s]]
     rows = [{start[1 - s] + j: 1 for j in ends} for s in sides for ends in far[s]]
-    for i, row in enumerate(rows):
-        if i in row:
-            raise GraphError(f"self-loop rejected: ({nodes[i]}, {nodes[i]})")
     return Graph(layer.directed, nodes, rows)
 
 

@@ -290,6 +290,12 @@ def test_rank_rejects_kind_mismatch(corpus_file, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "node id '3672' is not an id of the layers' paper nodes" in captured.err
+    code = main(["overlap", "--corpus", str(corpus_file), "--node", "101",
+                 "--layers", "coauthorship,paper-citation"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("journet: error: the given layers hold no common node kind;"
+                            " pick layers over the same nodes\n")
 
 
 def test_evolution(corpus_file, tmp_path):
@@ -377,6 +383,30 @@ def test_query_commands_reject_node_token_before_loading(corpus_file, capsys, mo
     code = main([*command, "--corpus", str(corpus_file), "--node", "v1n1p1"])
     assert code == 2
     assert "node id 'v1n1p1' is not an id of the layers' author nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["v01n1p1", "v0n1p1", "v1n1p01"])
+def test_non_canonical_paper_id_is_no_paper_node(corpus_file, capsys, monkeypatch, token):
+    # ingest refuses such an id, so --node does too, before the corpus is loaded
+    def must_not_run(*args):
+        pytest.fail("the corpus was loaded for a paper id that ingest refuses")
+
+    monkeypatch.setattr("journet.cli.load_corpus", must_not_run)
+    code = main(["neighbors", "--corpus", str(corpus_file), "--layer", "paper-citation",
+                 "--depth", "1", "--node", token])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"journet: error: node id {token!r} is not an id of the layers' paper nodes\n")
+
+
+@pytest.mark.parametrize("depth", ["\u0661", "1_0"], ids=["arabic-indic", "underscore"])
+def test_neighbors_depth_in_ascii_digits_only(corpus_file, capsys, depth):
+    code = main(["neighbors", "--corpus", str(corpus_file), "--layer", "coauthorship",
+                 "--node", "3672", "--depth", depth])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"argument --depth: invalid ascii_int value: {depth!r}" in captured.err
 
 
 @pytest.mark.parametrize("command", ["overlap", "rank"])

@@ -204,6 +204,8 @@ def test_modularity_rejects_bad_partition():
         modularity(g, {n(1): 0})
     with pytest.raises(ValueError, match="edges"):
         modularity(build_graph(False, [], isolated_nodes=[n(1)]), {n(1): 0})
+    with pytest.raises(ValueError, match="^modularity needs an undirected graph"):
+        modularity(build_graph(True, [(n(1), n(2), 1)]), {n(1): 0, n(2): 0})
 
 
 # -- girvan-newman ----------------------------------------------------------------

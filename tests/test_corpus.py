@@ -307,6 +307,27 @@ def test_ingest_reads_integer_cells_in_ascii_digits_only(tmp_path, edits, proble
     assert problem in info.value.problems
 
 
+@pytest.mark.parametrize("edits, problem", [
+    (dict(references=""), "references.csv:1: missing header row"),
+    (dict(references=REFERENCES.replace("v1n2p1,another work,", "\n\nv9n9p9,another work,")),
+     "references.csv:5: unknown citing paper id v9n9p9"),
+    (dict(authorship=AUTHORSHIP.replace("v1n2p1,12,2", "v1n2p1,12,0")),
+     "authorship.csv:5: position 0 is below 1"),
+    (dict(affiliations=AFFILIATIONS + "1,Institute C,\n"),
+     "affiliations.csv:4: duplicate affiliation id 1"),
+    (dict(authors=AUTHORS + "12,Dee,\n"), "authors.csv:5: duplicate author id 12"),
+    (dict(authorship=AUTHORSHIP + "v1n2p1,10,2\n"),
+     "authorship.csv:6: duplicate author position 2 for paper v1n2p1"),
+    (dict(affiliations=AFFILIATIONS + "x,Institute C,\n"),
+     "affiliations.csv:4: affiliation_id 'x' is not an integer"),
+], ids=["empty-file", "blank-lines-skipped", "position-0", "repeated-affiliation-id",
+        "repeated-author-id", "repeated-position", "affiliation-id-not-integer"])
+def test_ingest_rejects_a_row_it_cannot_place(tmp_path, edits, problem):
+    with pytest.raises(IngestError) as info:
+        ingest(tmp_path, **edits)
+    assert info.value.problems == [problem]
+
+
 def test_ingest_still_reads_a_signed_or_padded_integer_cell(tmp_path):
     padded = ingest(tmp_path, authorship=AUTHORSHIP.replace("v1n1p1,11,2", "v1n1p1, +11 ,+2"))
     assert padded.papers == ingest(tmp_path).papers
@@ -354,6 +375,10 @@ def test_ingest_row_order_invariant(tmp_path):
         affiliations=shuffled(AFFILIATIONS),
     )
     assert base == again
+    persist_corpus(again, sub / "again.corpus")
+    for corpus in (again, load_corpus(sub / "again.corpus"), snapshot(again, TimeIndex(1, 2))):
+        for table in (corpus.papers, corpus.authors, corpus.affiliations):
+            assert list(table) == sorted(table)
 
 
 @pytest.mark.parametrize("kind", ["paper", "author", "affiliation"])
@@ -372,9 +397,13 @@ def test_corpus_rejects_duplicate_id(kind):
 
 def test_parse_paper_id_round_trip():
     assert parse_paper_id("v4n4p14") == (4, 4, 14)
-    for bad in ["v4n4", "x4n4p14", "v04n4p14", "v0n1p1", "v4n4p14x"]:
-        with pytest.raises(ValueError):
+    assert parse_paper_id("v4n4p0") == (4, 4, 0)
+    for bad in ["v4n4", "x4n4p14", "v04n4p14", "v0n1p1", "v4n4p14x", "v4n4p014", "v4n4p14\n"]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"paper id {bad!r} does not match v<vol>n<issue>p<seq>"
+                " (positive volume and issue, no leading zeros)")):
             parse_paper_id(bad)
+        assert not ID_RULES["paper"].fullmatch(bad)  # the id rule of --node and Pajek labels
 
 
 def test_time_index_parse_rejects_what_paper_ids_reject():

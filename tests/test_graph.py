@@ -37,8 +37,14 @@ def test_duplicate_links_aggregate():
 
 
 def test_self_loop_rejected():
-    with pytest.raises(GraphError, match="self-loop"):
+    with pytest.raises(GraphError, match=r"^self-loop rejected: \(author:1, author:1\)$"):
         build_graph(False, [(A, A, 1)])
+    for directed in (False, True):  # the constructor itself refuses a row holding its own node
+        with pytest.raises(GraphError, match=r"^self-loop rejected: \(author:2, author:2\)$"):
+            Graph(directed, [A, B], [{1: 1}, {0: 1, 1: 2}])
+    # build_graph judges weights as it reads the links; a self-loop is the graph's to refuse
+    with pytest.raises(GraphError, match="weight"):
+        build_graph(True, [(A, A, 1), (A, B, 0)])
 
 
 def test_bad_weight_rejected():

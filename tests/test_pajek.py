@@ -55,6 +55,8 @@ def test_round_trip_mixed_kinds():
         ],
     )
     assert parse_pajek(export_pajek(g)) == g
+    # blank lines, of spaces or of nothing, are skipped anywhere
+    assert parse_pajek(export_pajek(g).replace("\n", "\n\n  \n")) == g
 
 
 def test_round_trip_directed():
@@ -67,10 +69,12 @@ def test_round_trip_directed():
 
 
 def test_auto_kind_reads_each_label_by_its_shape():
-    text = '*Vertices 5\n1 "42"\n2 "v4n4p14"\n3 "05.50.+q"\n4 "smith 1990"\n5 "-3"\n*Edges\n'
+    # a non-canonical paper id, which ingest refuses, is read as a cited-work key
+    text = ('*Vertices 7\n1 "42"\n2 "v4n4p14"\n3 "05.50.+q"\n4 "smith 1990"\n5 "-3"\n'
+            '6 "v04n4p14"\n7 "v0n1p1"\n*Edges\n')
     assert parse_pajek(text).nodes() == [
         author_node(-3), author_node(42), pacs_node("05.50.+q"), paper_node("v4n4p14"),
-        reference_node("smith 1990"),
+        reference_node("smith 1990"), reference_node("v04n4p14"), reference_node("v0n1p1"),
     ]
 
 
@@ -83,7 +87,8 @@ def test_auto_kind_rejects_a_label_no_rule_accepts():
     ("paper", "v1n1p1", "foo"), ("paper", "v1n1p1", "42"), ("paper", "v1n1p1", "v1n1p1 "),
     ("pacs", "05.50.+q", "xx"), ("pacs", "05.50.+q", "v1n1p1"), ("pacs", "05.50.+q", "05.50.+qq"),
     ("author", "7", "+5"), ("author", "7", "\u0661\u0662"), ("paper", "v1n1p1", "v\u0661n1p1"),
-    ("reference", "7", ""),
+    ("reference", "7", ""), ("paper", "v1n1p1", "v01n1p1"), ("paper", "v1n1p1", "v0n1p1"),
+    ("paper", "v1n1p1", "v1n0p1"), ("paper", "v1n1p1", "v1n1p01"),
 ])
 def test_forced_kind_rejects_a_label_of_another_shape(kind, good, bad):
     text = f'*Vertices 2\n1 "{good}"\n2 "{bad}"\n*Edges\n'

@@ -54,7 +54,6 @@ from .graph import (
 from .layers import (
     Layer,
     build_layer,
-    is_bipartite_between,
     layer_from_token,
     project_one_mode,
 )

@@ -124,6 +124,16 @@ def _cmd_neighbors(args) -> int:
     return 0
 
 
+def _depth(text: str) -> int:
+    """The --depth value: an integer of at least 1 in ASCII digits, else a usage error."""
+    try:
+        if (depth := ascii_int(text)) >= 1:
+            return depth
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid ascii_int value: {text!r}") from None
+    raise argparse.ArgumentTypeError(f"depth must be >= 1, got {depth}")
+
+
 def _layer_tokens(text: str) -> list[str]:
     """The --layers tokens; naming none is a usage error, an unknown one a data error."""
     if not (tokens := [t for t in text.split(",") if t]):
@@ -157,11 +167,8 @@ def _cmd_evolution(args) -> int:
 
 def _cmd_export(args) -> int:
     graph = build_layer(_load(args), layer_from_token(args.layer))
-    if args.format == "pajek":
-        text = export_pajek(graph)
-    else:
-        text = reports.adjacency_report_csv(graph)
-    Path(args.out).write_text(text, encoding="utf-8")
+    write = export_pajek if args.format == "pajek" else reports.adjacency_report_csv
+    Path(args.out).write_text(write(graph), encoding="utf-8")
     return 0
 
 
@@ -210,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_arg(p)
     p.add_argument("--layer", required=True, choices=LAYER_TOKENS)
     p.add_argument("--node", required=True, help=NODE_HELP)
-    p.add_argument("--depth", type=ascii_int, required=True)
+    p.add_argument("--depth", type=_depth, required=True)
     p.add_argument("--direction", choices=list(DIRECTIONS), default="both")
     p.set_defaults(func=_cmd_neighbors)
 

@@ -225,9 +225,6 @@ class Graph:
             return _merged(self._out[i], self._in[i])
         return (self._in if direction == "in" else self._out)[i]
 
-    def has_link(self, u: NodeRef, v: NodeRef) -> bool:
-        return u in self._index and v in self.row(u)
-
     def degree(self, node: NodeRef) -> int:
         """Neighbour count; for directed graphs out-degree plus in-degree."""
         i = self._index[node]
@@ -238,19 +235,25 @@ class Graph:
     def links(self) -> Iterator[tuple[NodeRef, NodeRef, int]]:
         """Canonical link iteration: undirected edges once with u < v, sorted."""
         nodes = self._nodes
-        return ((nodes[i], nodes[j], w) for i, row in enumerate(self._link_rows())
-                for j, w in row.items())
+        return ((nodes[i], nodes[j], w) for i, (keys, weights) in enumerate(self._link_rows())
+                for j, w in zip(keys, weights))
 
-    def _link_rows(self) -> Iterator[dict[int, int]]:
-        """Each node's row cut to the links it starts, above the node if undirected; a
-        group-held graph counts only those, from its groups' members above it, keeping none."""
-        if self._groups is None:
-            return (row if self.directed else {j: w for j, w in row.items() if j > i}
-                    for i, row in enumerate(self._out))
-        groups = self._groups
-        return (dict(sorted(_co_members(i, (
-            g[bisect_right(g, i):] for g in map(groups.__getitem__, held))).items()))
-            for i, held in enumerate(self._held))
+    def _link_rows(self) -> Iterator[tuple[list[int], Iterator[int]]]:
+        """``(keys, weights)`` of the links each node starts, keys ascending: the far ends
+        above the node if undirected, a directed graph's out-arcs.  A group-held graph counts
+        only those, from its groups' members above the node, sorts the keys and keeps no row."""
+        for i in range(len(self._nodes)):
+            if self._groups is not None:
+                above = (g[bisect_right(g, i):] for g in map(self._groups.__getitem__, self._held[i]))
+                keys = sorted(row := _co_members(i, above))
+            else:
+                keys = list(row := self._out[i])
+                keys = keys if self.directed else keys[bisect_right(keys, i):]
+            yield keys, map(row.__getitem__, keys)
+
+    def _neighbour_keys(self) -> Iterator[list[int]]:
+        """Each node's neighbours either way, as the ascending keys of its ``_row(i, "both")``."""
+        return (sorted(self._row(i, "both")) for i in range(len(self._nodes)))
 
     def symmetrized(self) -> "Graph":
         """Undirected view of a directed graph; weights of opposite arcs add.
@@ -364,18 +367,16 @@ class AdjacencyRow:
 
 
 def adjacency_rows(graph: Graph) -> Iterator[AdjacencyRow]:
-    """One row per node, sorted by node id, made as :meth:`Graph.rows` reaches it.
+    """One row per node, sorted by node id, made from :meth:`Graph._neighbour_keys`.
 
     For directed graphs the neighbour column is the union of out- and
-    in-neighbours and the degree counts them once each.  The graph's own
-    aux counts fill the last column; a graph without them gives zero.
+    in-neighbours, and the degree counts them once each, with no
+    symmetrized graph built.  The graph's own aux counts fill the last
+    column; a graph without them gives zero.
     """
-    aux = graph.aux_counts
-    nodes = graph.nodes()
-    return (
-        AdjacencyRow(node, tuple(nodes[j] for j in row), len(row), aux[node] if aux else 0)
-        for node, row in zip(nodes, graph.symmetrized().rows())
-    )
+    aux, nodes = graph.aux_counts, graph.nodes()
+    return (AdjacencyRow(node, tuple(map(nodes.__getitem__, keys)), len(keys), aux[node] if aux else 0)
+            for node, keys in zip(nodes, graph._neighbour_keys()))
 
 
 def check_direction(direction: str) -> None:

@@ -154,11 +154,6 @@ _LAYERS = {
 }
 
 
-def is_bipartite_between(graph: Graph, left_kind: str, right_kind: str) -> bool:
-    """Scan check: every link joins one left-kind node to one right-kind node."""
-    return all({u.kind, v.kind} == {left_kind, right_kind} for u, v, _ in graph.links())
-
-
 def project_one_mode(graph: Graph, kind: str) -> Graph:
     """Collapse an undirected two-kind graph onto its ``kind`` nodes.
 

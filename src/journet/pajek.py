@@ -22,13 +22,16 @@ class PajekFormatError(ValueError):
 
 
 def export_pajek(graph: Graph) -> str:
-    """Render a graph as Pajek .net text (LF line endings, trailing newline), row by row."""
+    """Render a graph as Pajek .net text (LF line endings, trailing newline), row by row
+    from ``Graph._link_rows``.  Vertex numbers and weights up to the vertex count are
+    texts made once, so a link formats an integer only for a larger weight."""
     nodes = graph.nodes()
-    lines = [f"*Vertices {len(nodes)}"]
-    lines += [f'{i} "{node.id}"' for i, node in enumerate(nodes, start=1)]
-    lines += ["*Arcs" if graph.directed else "*Edges", ""]
-    rows = ("".join(f"{i + 1} {j + 1} {w}\n" for j, w in row.items())
-            for i, row in enumerate(graph._link_rows()))
+    labels = list(map(str, range(top := len(nodes) + 1)))
+    numbers = [f"{label} " for label in labels[1:]]  # node i's vertex number, then a space
+    lines = [f"*Vertices {len(nodes)}", *(f'{a}"{node.id}"' for a, node in zip(numbers, nodes)),
+             "*Arcs" if graph.directed else "*Edges", ""]
+    rows = ("".join([f"{a}{numbers[j]}{labels[w] if w < top else w}\n" for j, w in zip(keys, weights)])
+            for a, (keys, weights) in zip(numbers, graph._link_rows()))
     return "".join(["\n".join(lines), *rows])
 
 

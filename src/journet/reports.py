@@ -12,7 +12,7 @@ import io
 from typing import Iterable, Mapping, Sequence
 
 from .communities import CommunityResult
-from .graph import Graph, NodeRef, adjacency_rows
+from .graph import Graph, NodeRef
 from .metrics import DegreeStats, EvolutionSeries, MetricsReport
 from .retrieval import NeighborhoodResult, OverlapResult, RelatedItem
 
@@ -57,17 +57,17 @@ def metrics_csv(report: MetricsReport) -> str:
 
 
 def adjacency_report_csv(graph: Graph) -> str:
-    """Per-node nearest-neighbour table: id, neighbour ids, degree, aux count."""
-    rows = (
-        (
-            row.node.id,
-            " ".join(str(n.id) for n in row.neighbours),
-            row.degree,
-            row.aux_count,
-        )
-        for row in adjacency_rows(graph)
-    )
-    return _csv_text(rows, ["node_id", "neighbour_ids", "degree", "aux_count"])
+    """Per-node nearest-neighbour table: id, neighbour ids, degree, aux count; the rows of
+    ``adjacency_rows``, read from ``Graph._neighbour_keys`` and joined from id texts made once.
+    If ``csv.writer`` writes every id bare, no cell needs quoting and rows are joined as text."""
+    nodes, aux = graph.nodes(), graph.aux_counts
+    ids = [str(node.id) for node in nodes]
+    rows = ((ids[i], " ".join([ids[j] for j in keys]), len(keys), aux[nodes[i]] if aux else 0)
+            for i, keys in enumerate(graph._neighbour_keys()))
+    header = ["node_id", "neighbour_ids", "degree", "aux_count"]
+    if _csv_text((), ids) != ",".join(ids) + "\n":  # the ids as one row: is any quoted?
+        return _csv_text(rows, header)
+    return "".join([_csv_text((), header), *(f"{a},{b},{d},{x}\n" for a, b, d, x in rows)])
 
 
 def degree_distribution_csv(stats: DegreeStats) -> str:

@@ -8,6 +8,8 @@ compares two independent derivations.
 
 from __future__ import annotations
 
+import csv
+import io
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -177,3 +179,33 @@ def exact_modularity(edges, partition_blocks):
         total_degree = sum((u in members) + (v in members) for u, v in edges)
         q += Fraction(internal, m) - Fraction(total_degree, 2 * m) ** 2
     return q
+
+
+def pajek_text(nodes, links, directed):
+    """Pajek .net text printed the plain way: each vertex, then each (u, v, weight)
+    link by its ends' 1-based positions in ``nodes``, in order of those positions."""
+    number = {node: i for i, node in enumerate(nodes, start=1)}
+    out = io.StringIO()
+    print(f"*Vertices {len(nodes)}", file=out)
+    for node in nodes:
+        print(f'{number[node]} "{node.id}"', file=out)
+    print("*Arcs" if directed else "*Edges", file=out)
+    for a, b, w in sorted((number[u], number[v], w) for u, v, w in links):
+        print(a, b, w, file=out)
+    return out.getvalue()
+
+
+def adjacency_csv(nodes, links, aux):
+    """The adjacency report through a plain csv writer: each node's id, its
+    neighbours either way of any (u, v, weight) link, their count and its aux count."""
+    neighbours = {node: set() for node in nodes}
+    for u, v, _ in links:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["node_id", "neighbour_ids", "degree", "aux_count"])
+    for node in nodes:
+        ids = [str(n.id) for n in sorted(neighbours[node])]
+        writer.writerow([node.id, " ".join(ids), len(ids), aux[node] if aux else 0])
+    return out.getvalue()

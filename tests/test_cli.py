@@ -409,6 +409,20 @@ def test_neighbors_depth_in_ascii_digits_only(corpus_file, capsys, depth):
     assert f"argument --depth: invalid ascii_int value: {depth!r}" in captured.err
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_neighbors_depth_below_one_is_a_usage_error(corpus_file, capsys, monkeypatch, depth):
+    def must_not_run(*args):
+        pytest.fail("the corpus was loaded for a depth below 1")
+
+    monkeypatch.setattr("journet.cli.load_corpus", must_not_run)
+    code = main(["neighbors", "--corpus", str(corpus_file), "--layer", "coauthorship",
+                 "--node", "3672", "--depth", depth])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"argument --depth: depth must be >= 1, got {depth}" in captured.err
+
+
 @pytest.mark.parametrize("command", ["overlap", "rank"])
 def test_layer_list_naming_no_layer_is_a_usage_error(corpus_file, capsys, monkeypatch, command):
     def must_not_run(*args):

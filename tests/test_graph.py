@@ -243,13 +243,14 @@ def test_bad_direction_is_rejected_by_name(directed):
                 read()
 
 
-def test_has_link_unknown_node_and_reversed_arc():
+def test_row_holds_an_arc_one_way_and_no_unknown_node():
     p, q = paper_node("v1n1p1"), paper_node("v1n1p2")
     g = build_graph(True, [(p, q, 1)])
-    assert g.has_link(p, q)
-    assert not g.has_link(q, p)
-    assert not g.has_link(p, paper_node("v9n9p9"))
-    assert not g.has_link(paper_node("v9n9p9"), q)
+    assert (g.row(p), g.row(q)) == ({q: 1}, {})
+    assert (g.row(q, "in"), g.row(q, "both")) == ({p: 1}, {p: 1})
+    assert not g.has_node(paper_node("v9n9p9"))
+    with pytest.raises(KeyError):
+        g.row(paper_node("v9n9p9"))
 
 
 def test_directed_degree_is_out_row_plus_in_row():
@@ -281,7 +282,7 @@ def test_symmetrized_matches_build_graph_on_random_digraphs(seed):
     links += [(v, u, rng.randint(1, 3)) for u, v, _ in rng.sample(links, len(links) // 4)]
     rng.shuffle(links)
     g = build_graph(True, links, isolated_nodes=nodes + [paper_node("v9n9p9")])
-    assert any(g.has_link(v, u) for u, v, _ in g.links())  # opposite arcs are present
+    assert any(u in g.row(v) for u, v, _ in g.links())  # opposite arcs are present
     assert_symmetrized_is_old_route(g)
 
 

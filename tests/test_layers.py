@@ -25,7 +25,6 @@ from journet.layers import (
     _ends,
     _Relation,
     build_layer,
-    is_bipartite_between,
     layer_from_token,
     project_one_mode,
 )
@@ -58,11 +57,11 @@ def small_corpus():
 
 def test_bipartite_author_paper_links():
     g = build_layer(small_corpus(), Layer.BIPARTITE_AUTHOR_PAPER)
-    assert g.has_link(author_node(1), paper_node("v1n1p1"))
-    assert g.has_link(author_node(2), paper_node("v1n1p1"))
-    assert g.has_link(author_node(2), paper_node("v1n1p2"))
-    assert not g.has_link(author_node(1), paper_node("v1n1p2"))
-    assert is_bipartite_between(g, "author", "paper")
+    # each link once, author end first: every link joins an author to a paper
+    assert list(g.links()) == [(author_node(1), paper_node("v1n1p1"), 1),
+                               (author_node(2), paper_node("v1n1p1"), 1),
+                               (author_node(2), paper_node("v1n1p2"), 1),
+                               (author_node(3), paper_node("v1n1p2"), 1)]
 
 
 def test_bipartite_paper_without_codes_is_isolated():
@@ -94,7 +93,7 @@ def test_projection_schematic_case():
     g = build_layer(corpus, Layer.COAUTHORSHIP)
     assert g.row(author_node(1))[author_node(2)] == 1
     assert g.row(author_node(2))[author_node(3)] == 1
-    assert not g.has_link(author_node(1), author_node(3))
+    assert author_node(3) not in g.row(author_node(1))
 
 
 def test_projection_weight_counts_shared_nodes():
@@ -174,8 +173,8 @@ def test_projection_of_graph_read_back_from_pajek(bipartite, kind, layer, seed):
 def test_citation_layer_arcs_point_citer_to_cited(triple_relation_corpus):
     g = build_layer(triple_relation_corpus, Layer.PAPER_CITATION)
     assert g.directed
-    assert g.has_link(paper_node("v4n4p14"), paper_node("v4n2p17"))
-    assert not g.has_link(paper_node("v4n2p17"), paper_node("v4n4p14"))
+    assert paper_node("v4n2p17") in g.row(paper_node("v4n4p14"))
+    assert paper_node("v4n4p14") not in g.row(paper_node("v4n2p17"))
     assert g.node_count == 4  # isolated papers stay
 
 
@@ -213,7 +212,7 @@ def test_author_common_pacs_composes_through_papers():
     corpus = Corpus(papers, make_authors([1, 2, 3]))
     g = build_layer(corpus, Layer.AUTHOR_COMMON_PACS)
     assert g.row(author_node(1))[author_node(2)] == 1
-    assert not g.has_link(author_node(1), author_node(3))
+    assert author_node(3) not in g.row(author_node(1))
 
 
 def test_triple_relation_pattern(triple_relation_corpus):
@@ -222,9 +221,9 @@ def test_triple_relation_pattern(triple_relation_corpus):
     common_author = build_layer(triple_relation_corpus, Layer.PAPER_COMMON_AUTHOR)
     citation = build_layer(triple_relation_corpus, Layer.PAPER_CITATION)
     common_pacs = build_layer(triple_relation_corpus, Layer.PAPER_COMMON_PACS)
-    assert common_author.has_link(seed, other)
-    assert citation.has_link(seed, other)
-    assert common_pacs.has_link(seed, other)
+    assert other in common_author.row(seed)
+    assert other in citation.row(seed)
+    assert other in common_pacs.row(seed)
 
 
 def test_projection_agrees_with_raw_records():
@@ -641,6 +640,17 @@ def test_writers_derive_each_row_once_and_keep_none(build, monkeypatch):
     tuple(g.rows())  # derives every row again, since neither writer kept one
     assert calls == 3 * each_row
     assert (export_pajek(g), adjacency_report_csv(g)) == (text, report)
+
+
+def test_adjacency_export_of_the_citation_layer_keeps_no_symmetrized_graph():
+    corpus = random_corpus(random.Random(96))
+    g = build_layer(corpus, Layer.PAPER_CITATION)
+    report, rows = adjacency_report_csv(g), list(adjacency_rows(g))
+    assert g.directed and g.link_count > 0
+    assert g._symmetrized is None and build_layer(corpus, Layer.PAPER_CITATION) is g
+    view = g.symmetrized()  # the rows both readers merged, as the view holds them
+    assert [tuple(row) for row in view.rows()] == [tuple(map(g.index, r.neighbours)) for r in rows]
+    assert report == adjacency_report_csv(view)
 
 
 @pytest.mark.parametrize("build", ONE_MODE_BUILDS, ids=one_mode_id)

@@ -1,6 +1,6 @@
-"""Property tests: snapshots, persistence, ingest, Pajek and CLI node tokens on
-generated corpora, and the order, equality and checks of the node and
-time-index tuples.
+"""Property tests: snapshots, persistence, ingest, Pajek, the Pajek and adjacency
+writers against plain renderings, and CLI node tokens on generated corpora and
+graphs, and the order, equality and checks of the node and time-index tuples.
 
 hypothesis is a test-only dependency; without it this module is skipped.
 Runs are derandomized, so every run draws the same examples.
@@ -36,11 +36,14 @@ from journet.corpus import (  # noqa: E402
     validate_corpus,
 )
 from journet.cli import _node_for_layers  # noqa: E402
-from journet.graph import AUTHOR, ID_RULES, NODE_KINDS, GraphError, NodeRef  # noqa: E402
+from journet.graph import (  # noqa: E402
+    AUTHOR, ID_RULES, NODE_KINDS, GraphError, NodeRef, build_graph, reference_node)
 from journet.layers import Layer, build_layer  # noqa: E402
 from journet.pajek import export_pajek, parse_pajek  # noqa: E402
+from journet.reports import adjacency_report_csv  # noqa: E402
 
 from conftest import PACS_POOL  # noqa: E402
+from oracles import adjacency_csv, pajek_text  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 
@@ -208,6 +211,39 @@ def test_pajek_round_trips_adversarial_keys(reference_lists):
     ]
     g = build_layer(Corpus(papers, [AuthorRecord(1, "", frozenset())]), Layer.COCITATION)
     assert parse_pajek(export_pajek(g), kind="reference") == g
+
+
+def assert_writers_match_plain_renderings(graph):
+    links, nodes = list(graph.links()), graph.nodes()
+    assert export_pajek(graph) == pajek_text(nodes, links, graph.directed)
+    assert adjacency_report_csv(graph) == adjacency_csv(nodes, links, graph.aux_counts)
+
+
+# row graphs, directed or not, with isolated nodes and weights up to well past the
+# node count, so that a weight's text also comes from past the writer's label table
+@st.composite
+def row_graphs(draw):
+    keys = draw(st.lists(adversarial_keys | st.text(min_size=1, max_size=6), max_size=9, unique=True))
+    nodes = [reference_node(key) for key in keys]
+    nodes += [NodeRef(AUTHOR, i) for i in draw(st.lists(st.integers(-50, 50), max_size=5, unique=True))]
+    links = []
+    if len(nodes) > 1:
+        ends = st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True)
+        links = draw(st.lists(st.tuples(ends, st.integers(1, 40)), max_size=20))
+    return build_graph(draw(st.booleans()), [(u, v, w) for (u, v), w in links], isolated_nodes=nodes)
+
+
+@PROPERTY_SETTINGS
+@given(row_graphs())
+def test_writers_match_plain_renderings_of_row_graphs(graph):
+    assert_writers_match_plain_renderings(graph)
+
+
+@PROPERTY_SETTINGS
+@given(corpora(key_texts=adversarial_keys | st.text(min_size=1, max_size=8)))
+def test_writers_match_plain_renderings_of_every_layer(corpus):
+    for layer in Layer:  # the one-mode layers are group-held; cited-work keys hold
+        assert_writers_match_plain_renderings(build_layer(corpus, layer))  # ",", '"', " ", non-ASCII
 
 
 @PROPERTY_SETTINGS

@@ -5,8 +5,8 @@ edge-betweenness bits.
 line per dendrogram level: removed edges, community count and the
 ``repr`` of its modularity float.  The graphs are seeded random graphs
 (some disconnected), two disjoint copies of one graph (so betweenness
-ties exactly across components) and the co-authorship layer of a small
-preferential-attachment journal.  A change to the betweenness kernel,
+ties exactly across components) and the co-authorship layers of two
+preferential-attachment journals, the larger with about 150 authors.  A change to the betweenness kernel,
 its tie-breaking or the modularity arithmetic that alters any removal
 order or any float bit fails here.  ``tests/golden/edge-betweenness.txt``
 holds the ``repr`` of every edge's betweenness on ten seeded random
@@ -57,6 +57,10 @@ GRAPHS = {
     "twins-n14-p0.3-s15": lambda: twin_copies(random.Random(15), 14, 0.3),
     "coauthorship-pa80-s16": lambda: build_layer(
         preferential_attachment_corpus(random.Random(16), n_papers=80, per_issue=10),
+        Layer.COAUTHORSHIP,
+    ),
+    "coauthorship-pa140-s17": lambda: build_layer(
+        preferential_attachment_corpus(random.Random(17), n_papers=140, per_issue=10),
         Layer.COAUTHORSHIP,
     ),
 }

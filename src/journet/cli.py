@@ -130,7 +130,8 @@ def _depth(text: str) -> int:
         if (depth := ascii_int(text)) >= 1:
             return depth
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid ascii_int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"depth must be a whole number in ASCII digits, got {text!r}") from None
     raise argparse.ArgumentTypeError(f"depth must be >= 1, got {depth}")
 
 

@@ -1,10 +1,11 @@
 """Divisive community detection by repeated removal of high-traffic edges.
 
-Edge betweenness counts shortest paths fractionally (Brandes-style BFS
-accumulation); the highest-scoring edge is removed and betweenness is
-recomputed only in the component that lost it.  Each time the graph
-falls apart, a partition is recorded with its modularity against the
-original graph; the best partition is the modularity maximum.
+Edge betweenness counts shortest paths fractionally: Brandes-style BFS
+accumulation over each source's recorded shortest-path predecessors, on
+a locally numbered component.  The highest-scoring edge is removed and
+betweenness is recomputed only in the kept component that lost it.  Each
+time the graph falls apart, a partition is recorded with its modularity
+against the original graph; the best partition is the modularity maximum.
 Tie-breaking is fully deterministic so repeated runs agree edge for edge.
 """
 
@@ -23,43 +24,45 @@ def _betweenness_on_adj(adj, sources=None) -> tuple[list[tuple[int, int]], list[
 
     ``adj`` holds symmetric rows that iterate ascending neighbour
     indices: Graph.rows()'s dicts or girvan_newman's list copies of
-    them.  ``sources`` is ascending, all nodes by default.  Each edge
-    (i, j), i < j, met in a source's row gets a slot in the returned edge
-    and score lists.  Per source one sweep sets hop distances and path
-    counts sigma; walking its visit order backwards splits each pair's
-    unit of flow down the shortest-path DAG in proportion to sigma.
-    Sources and neighbours go in ascending order, so float sums are
-    reproducible; a source adds only to its own component's edges, so a
-    component's scores equal a whole-graph sweep's.
+    them.  ``sources`` is ascending, all nodes by default, and must be
+    whole components; they are numbered 0..p-1 in that order.  Each edge
+    (i, j), i < j, gets a slot in the returned edge and score lists.  Per
+    source one sweep sets hop distances, path counts sigma and each node's
+    shortest-path predecessors; walking its visit order backwards splits
+    each pair's unit of flow over those predecessors in proportion to
+    sigma.  Each delta takes its additions in reverse visit order and each
+    score one per source, sources ascending, so float sums are
+    reproducible and a component's scores equal a whole-graph sweep's.
     """
     if sources is None:
         sources = range(len(adj))
+    local = {u: i for i, u in enumerate(sources)}
     slot: dict[tuple[int, int], int] = {}  # edge -> its index in edges and scores
-    row_slots = {u: [slot.setdefault((u, v) if u < v else (v, u), len(slot)) for v in adj[u]]
-                 for u in sources}
+    row_slots = [{local[v]: slot.setdefault((u, v) if u < v else (v, u), len(slot)) for v in adj[u]}
+                 for u in sources]  # local neighbour -> its edge's slot
+    nbrs = [list(row) for row in row_slots]  # local neighbours, ascending
     edges = list(slot)
     scores = [0.0] * len(edges)
-    dist, sigma, delta = [-1] * len(adj), [0] * len(adj), [0.0] * len(adj)
-    for source in sources:
+    p = len(nbrs)
+    for source in range(p):
+        dist, sigma, delta, preds = [-1] * p, [0] * p, [0.0] * p, [()] * p
         dist[source], sigma[source] = 0, 1
         order = [source]
         for u in order:  # order grows while it is walked: that is the queue
             d, s = dist[u] + 1, sigma[u]
-            for v in adj[u]:
+            for v in nbrs[u]:
                 if dist[v] < 0:
-                    dist[v], sigma[v] = d, s
+                    dist[v], sigma[v], preds[v] = d, s, [u]
                     order.append(v)
                 elif dist[v] == d:
                     sigma[v] += s
+                    preds[v].append(u)
         for w in reversed(order):
-            d, s, push = dist[w] - 1, sigma[w], 1.0 + delta[w]
-            for v, k in zip(adj[w], row_slots[w]):
-                if dist[v] == d:
-                    flow = sigma[v] / s * push
-                    scores[k] += flow
-                    delta[v] += flow
-        for v in order:
-            dist[v], sigma[v], delta[v] = -1, 0, 0.0
+            s, push, slots = sigma[w], 1.0 + delta[w], row_slots[w]
+            for v in preds[w]:
+                flow = sigma[v] / s * push
+                scores[slots[v]] += flow
+                delta[v] += flow
     return edges, scores
 
 
@@ -132,8 +135,9 @@ def girvan_newman(graph: Graph) -> CommunityResult:
     recorded first; afterwards the maximum-betweenness edge is removed
     (ties broken toward the smallest (min endpoint, max endpoint) pair)
     and a new level is recorded whenever the component count grows.
-    Only the piece or pieces holding the removed edge's endpoints are
-    swept again; other components keep their top edge.  Modularity is
+    The components are found once and kept as ascending member lists;
+    only the one that lost the removed edge, or the two it split into, is
+    swept again, and the others keep their top edge.  Modularity is
     always evaluated against the original graph.  Runs until no edges
     remain, so the last level is all singletons.  Best is the highest Q;
     equal Q prefers fewer communities, then the earlier recording.
@@ -159,6 +163,7 @@ def girvan_newman(graph: Graph) -> CommunityResult:
         return PartitionRecord(removed, len(comps), partition, modularity(graph, partition))
 
     comps = components(adj, held)
+    pieces = {comp[0]: comp for comp in comps}  # least node -> ascending members
     records = [record(0, comps)]
     for comp in comps:
         sweep(comp)
@@ -168,10 +173,14 @@ def girvan_newman(graph: Graph) -> CommunityResult:
         adj[u].remove(v)
         adj[v].remove(u)
         side, dist = bfs(adj, held, u)
-        sweep(sorted(side))
-        if v not in dist:
-            sweep(sorted(bfs(adj, held, v)[0]))
-            records.append(record(removed, components(adj, held)))
+        if v in dist:
+            sweep(pieces[key])
+        else:  # the piece splits into u's side and the rest, both ascending
+            rest = [x for x in pieces.pop(key) if x not in dist]
+            for piece in sorted(side), rest:
+                pieces[piece[0]] = piece
+                sweep(piece)
+            records.append(record(removed, sorted(pieces.values())))
 
     # max() keeps the first of equal maxima: the earlier, coarser level
     return CommunityResult(records, max(range(len(records)), key=lambda i: records[i].modularity))

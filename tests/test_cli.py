@@ -406,7 +406,8 @@ def test_neighbors_depth_in_ascii_digits_only(corpus_file, capsys, depth):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert f"argument --depth: invalid ascii_int value: {depth!r}" in captured.err
+    assert captured.err.endswith(
+        f"argument --depth: depth must be a whole number in ASCII digits, got {depth!r}\n")
 
 
 @pytest.mark.parametrize("depth", ["0", "-1"])

@@ -1,6 +1,7 @@
 """Property tests: snapshots, persistence, ingest, Pajek, the Pajek and adjacency
 writers against plain renderings, and CLI node tokens on generated corpora and
-graphs, and the order, equality and checks of the node and time-index tuples.
+graphs, the order, equality and checks of the node and time-index tuples, and
+the Girvan-Newman loop and its betweenness kernel on multi-component graphs.
 
 hypothesis is a test-only dependency; without it this module is skipped.
 Runs are derandomized, so every run draws the same examples.
@@ -36,9 +37,12 @@ from journet.corpus import (  # noqa: E402
     validate_corpus,
 )
 from journet.cli import _node_for_layers  # noqa: E402
+from journet.communities import (  # noqa: E402
+    _betweenness_on_adj, edge_betweenness, girvan_newman, modularity)
 from journet.graph import (  # noqa: E402
-    AUTHOR, ID_RULES, NODE_KINDS, GraphError, NodeRef, build_graph, reference_node)
+    AUTHOR, ID_RULES, NODE_KINDS, GraphError, NodeRef, author_node, build_graph, reference_node)
 from journet.layers import Layer, build_layer  # noqa: E402
+from journet.metrics import connected_components  # noqa: E402
 from journet.pajek import export_pajek, parse_pajek  # noqa: E402
 from journet.reports import adjacency_report_csv  # noqa: E402
 
@@ -322,3 +326,86 @@ def test_time_indexes_order_as_volume_then_issue_and_parse_their_text(pairs):
     assert [(t.volume, t.issue) for t in sorted(times)] == sorted(pairs)
     for t in times:
         assert TimeIndex.parse(str(t)) == t
+
+
+# graphs of 1-4 connected components on interleaved author ids; a twin repeats
+# the previous component's links and relative id order, so betweenness scores
+# tie bit for bit across the two pieces
+@st.composite
+def component_graphs(draw):
+    specs = []  # (size, links between local nodes, rank of each local node's id)
+    for _ in range(draw(st.integers(1, 4))):
+        if specs and draw(st.booleans()):
+            specs.append(specs[-1])
+            continue
+        size = draw(st.integers(1 if specs else 2, 8))
+        local = st.integers(0, size - 1)
+        edges = {(draw(st.integers(0, j - 1)), j) for j in range(1, size)}  # a spanning tree
+        edges |= {(min(e), max(e)) for e in draw(st.lists(st.tuples(local, local), max_size=10))
+                  if e[0] != e[1]}
+        specs.append((size, sorted(edges), draw(st.permutations(range(size)))))
+    ids = draw(st.permutations(range(1, sum(spec[0] for spec in specs) + 1)))
+    links, nodes, start = [], [], 0
+    for size, edges, rank in specs:
+        chunk = sorted(ids[start:start + size])
+        start += size
+        piece = [author_node(chunk[r]) for r in rank]
+        nodes += piece
+        links += [(piece[a], piece[b], draw(st.integers(1, 3))) for a, b in edges]
+    return build_graph(False, links, isolated_nodes=nodes)
+
+
+def whole_graph_dendrogram(graph):
+    """Girvan-Newman with no kept state: after each removal the remaining graph
+    is built again and scored whole, and its top edge goes next, ties to the
+    least (min endpoint, max endpoint) pair.  Records as (removed, count,
+    partition, modularity bits), a level whenever the component count grows."""
+    nodes, links = graph.nodes(), {(u, v): w for u, v, w in graph.links()}
+    records = []
+    for removed in range(len(links) + 1):
+        remaining = build_graph(False, [(u, v, w) for (u, v), w in links.items()],
+                                isolated_nodes=nodes)
+        comps = sorted(connected_components(remaining))
+        if not records or len(comps) > records[-1][1]:
+            partition = {node: label for label, comp in enumerate(comps) for node in comp}
+            records.append((removed, len(comps), partition, modularity(graph, partition).hex()))
+        if links:
+            scores = edge_betweenness(remaining)
+            del links[min(scores, key=lambda edge: (-scores[edge], edge))]
+    return records
+
+
+def assert_matches_whole_graph_recompute(graph):
+    result = girvan_newman(graph)
+    assert [(r.removed_edges, r.community_count, r.partition, r.modularity.hex())
+            for r in result.records] == whole_graph_dendrogram(graph)
+
+
+@PROPERTY_SETTINGS
+@given(component_graphs())
+def test_girvan_newman_matches_whole_graph_recompute(graph):
+    assert_matches_whole_graph_recompute(graph)
+
+
+def test_girvan_newman_split_leaving_the_least_node_on_the_far_side():
+    # path 4-2-3-1: the middle edge (2, 3) goes first, and 2's side {2, 4}
+    # lacks the piece's least node 1, which stays with 3
+    graph = build_graph(False, [(author_node(a), author_node(b), 1)
+                                for a, b in [(4, 2), (2, 3), (3, 1)]])
+    second = girvan_newman(graph).records[1]
+    assert (second.removed_edges, second.community_count) == (1, 2)
+    assert second.partition == {author_node(1): 0, author_node(3): 0,
+                                author_node(2): 1, author_node(4): 1}
+    assert_matches_whole_graph_recompute(graph)
+
+
+@PROPERTY_SETTINGS
+@given(component_graphs())
+def test_betweenness_kernel_on_a_component_equals_the_whole_graph_call(graph):
+    adj = tuple(graph.rows())
+    whole = dict(zip(*_betweenness_on_adj(adj)))
+    covered = {}
+    for piece in connected_components(graph):
+        edges, scores = _betweenness_on_adj(adj, [graph.index(node) for node in piece])
+        covered.update((edge, score.hex()) for edge, score in zip(edges, scores))
+    assert covered == {edge: score.hex() for edge, score in whole.items()}

@@ -103,7 +103,7 @@ def _cmd_distribution(args) -> int:
 def _cmd_communities(args) -> int:
     layer = layer_from_token(args.layer)
     node = None if args.node is None else _node_for_layers(args.node, [layer])
-    graph = build_layer(_load(args), layer).symmetrized()
+    graph = build_layer(_load(args), layer)
     result = girvan_newman(graph)
     if args.dump_dendrogram:
         sys.stdout.write(reports.dendrogram_lines(result))

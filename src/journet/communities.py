@@ -69,7 +69,8 @@ def _betweenness_on_adj(adj, sources=None) -> tuple[list[tuple[int, int]], list[
 def edge_betweenness(graph: Graph) -> dict[Edge, float]:
     """Betweenness per unordered edge; contributions per node pair sum to 1."""
     if graph.directed:
-        raise ValueError("edge betweenness needs an undirected graph; symmetrize first")
+        raise ValueError("edge betweenness needs an undirected graph; read a directed one as "
+                         'Graph(False, graph.nodes(), graph.rows("both"))')
     nodes = graph.nodes()
     edges, scores = _betweenness_on_adj(tuple(graph.rows()))
     return {(nodes[u], nodes[v]): value / 2.0 for (u, v), value in zip(edges, scores)}
@@ -86,7 +87,8 @@ def modularity(graph: Graph, partition: Mapping[NodeRef, int]) -> float:
     on community iteration order.
     """
     if graph.directed:
-        raise ValueError("modularity needs an undirected graph; symmetrize first")
+        raise ValueError("modularity needs an undirected graph; read a directed one as "
+                         'Graph(False, graph.nodes(), graph.rows("both"))')
     m = graph.link_count
     if m == 0:
         raise ValueError("modularity is undefined for a graph without edges")
@@ -141,14 +143,14 @@ def girvan_newman(graph: Graph) -> CommunityResult:
     always evaluated against the original graph.  Runs until no edges
     remain, so the last level is all singletons.  Best is the highest Q;
     equal Q prefers fewer communities, then the earlier recording.
+    A directed graph is read both ways, as its ``rows("both")``: opposite
+    arcs make one edge, which the dendrogram and modularity count once.
     """
-    if graph.directed:
-        raise ValueError("community detection needs an undirected graph; symmetrize first")
     if graph.link_count == 0:
         raise ValueError("community detection needs at least one edge")
 
     nodes = graph.nodes()
-    graph = Graph(False, nodes, graph.rows())  # its rows, kept for this run alone
+    graph = Graph(False, nodes, graph.rows("both"))  # its undirected rows, for this run alone
     adj = [list(row) for row in graph.rows()]
     held = graph.hops()[1]  # the hop form of adj too: node i holds row i alone
     tops = {}  # least node of a component -> (-score, edge) of its top edge

@@ -134,7 +134,7 @@ class Graph:
         self._nodes = tuple(nodes)
         self._index = {node: i for i, node in enumerate(self._nodes)}
         self._aux = dict(aux) if aux else None
-        self._symmetrized = self._degrees = self._out = self._in = None
+        self._both = self._degrees = self._out = self._in = None
         self._groups, self._held = groups, held
         if groups is None:
             self._out = self._in = tuple(dict(sorted(row.items())) for row in rows)
@@ -184,16 +184,20 @@ class Graph:
     def rows(self, direction: str = "out") -> tuple[dict[int, int], ...] | Iterator[dict[int, int]]:
         """{neighbour index: weight} rows in node index order: "out", "in" or "both" ways.
 
-        "both" gives the rows of :meth:`symmetrized`, whose nodes have
-        the same indices.  All three agree on an undirected graph.  A link
-        graph gives its own stored rows, shared: never mutate them.  A
-        group-held graph derives each row as it is reached and keeps none.
+        All three agree on an undirected graph.  A link graph gives its own
+        rows, shared: never mutate them.  A directed one's "both" rows are
+        each node's :meth:`_row` ``(i, "both")``, keys ascending, built on
+        first read and kept.  A group-held graph derives each row as it is
+        reached and keeps none.
         """
         check_direction(direction)
+        derived = (dict(sorted(self._row(i, direction).items())) for i in range(len(self._nodes)))
         if self._groups is not None:
-            return (dict(sorted(self._row(i).items())) for i in range(len(self._nodes)))
-        if direction == "both":
-            return self.symmetrized()._out
+            return derived
+        if direction == "both" and self.directed:
+            if self._both is None:
+                self._both = tuple(derived)
+            return self._both
         return self._in if direction == "in" else self._out
 
     def hops(self, direction: str = "both") -> tuple:
@@ -218,11 +222,12 @@ class Graph:
     def _row(self, i: int, direction: str = "out") -> dict[int, int]:
         """Node ``i``'s {neighbour index: weight}, keys in any order.  A group-held
         graph derives it and keeps none; a directed graph's "both" merges the node's
-        out-row and in-row as :meth:`symmetrized` does; any other is the stored row."""
+        out-row and in-row, weights of opposite arcs adding; any other is the stored row."""
         if self._groups is not None:
             return _co_members(i, map(self._groups.__getitem__, self._held[i]))
         if direction == "both" and self.directed:
-            return _merged(self._out[i], self._in[i])
+            out = self._out[i]
+            return out | {j: out.get(j, 0) + w for j, w in self._in[i].items()}
         return (self._in if direction == "in" else self._out)[i]
 
     def degree(self, node: NodeRef) -> int:
@@ -254,18 +259,6 @@ class Graph:
     def _neighbour_keys(self) -> Iterator[list[int]]:
         """Each node's neighbours either way, as the ascending keys of its ``_row(i, "both")``."""
         return (sorted(self._row(i, "both")) for i in range(len(self._nodes)))
-
-    def symmetrized(self) -> "Graph":
-        """Undirected view of a directed graph; weights of opposite arcs add.
-
-        Each row merges the node's out-row and in-row over the same nodes
-        tuple; aux counts are left out.  Built once, on first call.
-        """
-        if not self.directed:
-            return self
-        if self._symmetrized is None:
-            self._symmetrized = Graph(False, self._nodes, map(_merged, self._out, self._in))
-        return self._symmetrized
 
     # -- comparison ----------------------------------------------------------
 
@@ -371,7 +364,7 @@ def adjacency_rows(graph: Graph) -> Iterator[AdjacencyRow]:
 
     For directed graphs the neighbour column is the union of out- and
     in-neighbours, and the degree counts them once each, with no
-    symmetrized graph built.  The graph's own aux counts fill the last
+    both-ways row kept.  The graph's own aux counts fill the last
     column; a graph without them gives zero.
     """
     aux, nodes = graph.aux_counts, graph.nodes()
@@ -382,11 +375,6 @@ def adjacency_rows(graph: Graph) -> Iterator[AdjacencyRow]:
 def check_direction(direction: str) -> None:
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be 'out', 'in' or 'both', got {direction!r}")
-
-
-def _merged(row: dict[int, int], back: dict[int, int]) -> dict[int, int]:
-    """One node's out-row and in-row as one row; weights of opposite arcs add."""
-    return row | {j: row.get(j, 0) + w for j, w in back.items()}
 
 
 def _co_members(member, groups) -> Counter:

@@ -183,8 +183,8 @@ def build_layer(corpus: Corpus, layer: Layer, internal_only: bool = False) -> Gr
     Citation arcs point from the citing paper to the cited one.
     Co-authorship carries each author's paper count as aux counts.
 
-    The corpus keeps every layer built from it, with the layer's
-    symmetrized view once read, for as long as the corpus lives, and a
+    The corpus keeps every layer built from it, with a directed layer's
+    both-ways rows once read, for as long as the corpus lives, and a
     later call returns the same graph.  A one-mode layer holds its groups,
     which statistics and neighbourhoods walk through ``hops()``, and never
     its rows (millions of links on a dense 10^4-paper layer): ``rows()``

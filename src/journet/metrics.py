@@ -2,7 +2,7 @@
 
 Degrees, local clustering, shortest paths and connected components,
 bundled into one report per graph.  Paths count unweighted hops, and
-clustering and paths see a directed graph symmetrized.  All of them walk
+clustering and paths read a directed graph both ways.  All of them walk
 the graph's ``hops()``, so a one-mode layer keeps no rows.  Mean shortest
 path and diameter come from one all-sources sweep over node bitsets
 (Then et al., PVLDB 2014) on the largest component, with the component

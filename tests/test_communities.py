@@ -10,10 +10,11 @@ from journet.communities import (
     girvan_newman,
     modularity,
 )
-from journet.graph import author_node, build_graph
+from journet.graph import author_node, build_graph, paper_node
+from journet.layers import Layer, build_layer
 from journet.metrics import connected_components
 
-from conftest import random_graph
+from conftest import random_corpus, random_graph
 from oracles import (
     all_partitions,
     enumerate_edge_betweenness,
@@ -258,13 +259,31 @@ def test_gn_single_edge_consistent_best():
 
 
 def test_gn_rejects_edgeless_and_directed():
+    # an edgeless graph is refused either way; a directed one with arcs is read both ways below
     with pytest.raises(ValueError, match="edge"):
         girvan_newman(build_graph(False, [], isolated_nodes=[n(1)]))
-    from journet.graph import paper_node
+    with pytest.raises(ValueError, match="edge"):
+        girvan_newman(build_graph(True, [], isolated_nodes=[paper_node("v1n1p1")]))
 
-    directed = build_graph(True, [(paper_node("v1n1p1"), paper_node("v1n1p2"), 1)])
-    with pytest.raises(ValueError, match="undirected"):
-        girvan_newman(directed)
+
+def opposite_arcs_digraph():
+    p = [paper_node(f"v1n1p{i}") for i in range(1, 8)]
+    arcs = [(0, 1, 1), (1, 0, 2), (1, 2, 1), (2, 0, 1), (2, 3, 1), (3, 4, 1), (4, 3, 3),
+            (4, 5, 1), (5, 3, 1), (6, 5, 1), (5, 6, 1)]
+    return build_graph(True, [(p[a], p[b], w) for a, b, w in arcs])
+
+
+@pytest.mark.parametrize("seed", [None, 21, 22, 23])  # None: the hand-built digraph
+def test_gn_reads_a_directed_graph_both_ways(seed):
+    if seed is None:
+        g = opposite_arcs_digraph()
+    else:
+        g = build_layer(random_corpus(random.Random(seed)), Layer.PAPER_CITATION)
+    assert g.directed and g.link_count > 0
+    result = girvan_newman(g)
+    expected = girvan_newman(build_graph(False, g.links(), isolated_nodes=g.nodes()))
+    assert result.records == expected.records
+    assert result.best_index == expected.best_index
 
 
 def test_gn_partitions_refine_and_terminate():

@@ -76,10 +76,12 @@ def test_directed_arcs_and_symmetrize():
     assert list(g.row(p)) == [q]
     assert list(g.row(p, "in")) == [q]
     assert g.degree(p) == 2
-    sym = g.symmetrized()
-    assert not sym.directed
-    assert sym.row(p)[q] == 3
-    assert sym.link_count == 1
+    both = g.rows("both")
+    assert both[g.index(p)] == {g.index(q): 3}
+    view = Graph(False, g.nodes(), both)
+    assert not view.directed
+    assert view.row(p)[q] == 3
+    assert view.link_count == 1
 
 
 def test_degree_sum_is_twice_edge_count():
@@ -265,17 +267,18 @@ def test_directed_degree_is_out_row_plus_in_row():
         assert g.degree(node) == sum(node in (u, v) for u, v, _ in links)
 
 
-def assert_symmetrized_is_old_route(g):
-    # the view used to be rebuilt from the links; that route is the oracle
-    view = g.symmetrized()
-    assert view == build_graph(False, g.links(), isolated_nodes=g.nodes())
-    assert view.nodes() == g.nodes()
-    assert view.aux_counts is None
-    assert_rows_ascending(view)
+def assert_both_rows_are_old_route(g):
+    # the both-ways rows used to be rebuilt from the links; that route is the oracle
+    both = g.rows("both")
+    expected = build_graph(False, g.links(), isolated_nodes=g.nodes())
+    assert expected.nodes() == g.nodes()  # so both index the same nodes
+    assert both == expected.rows()
+    assert all(list(row) == sorted(row) for row in both)
+    assert g.rows("both") is both  # built once, then kept
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_symmetrized_matches_build_graph_on_random_digraphs(seed):
+def test_both_rows_match_build_graph_on_random_digraphs(seed):
     rng = random.Random(400 + seed)
     nodes = [author_node(i) for i in range(1, 21)] + [paper_node(f"v1n1p{i}") for i in range(1, 11)]
     links = [(u, v, rng.randint(1, 3)) for u in nodes for v in nodes if u != v and rng.random() < 0.1]
@@ -283,9 +286,9 @@ def test_symmetrized_matches_build_graph_on_random_digraphs(seed):
     rng.shuffle(links)
     g = build_graph(True, links, isolated_nodes=nodes + [paper_node("v9n9p9")])
     assert any(u in g.row(v) for u, v, _ in g.links())  # opposite arcs are present
-    assert_symmetrized_is_old_route(g)
+    assert_both_rows_are_old_route(g)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
-def test_symmetrized_citation_layer_matches_build_graph(seed):
-    assert_symmetrized_is_old_route(build_layer(random_corpus(random.Random(seed)), Layer.PAPER_CITATION))
+def test_citation_layer_both_rows_match_build_graph(seed):
+    assert_both_rows_are_old_route(build_layer(random_corpus(random.Random(seed)), Layer.PAPER_CITATION))

@@ -448,7 +448,7 @@ def test_link_layer_matches_noderef_route(layer, corpus_id):
     expected = noderef_link_graph(corpus, layer)
     assert g == expected
     assert tuple(g.rows("in")) == tuple(expected.rows("in"))
-    assert g.symmetrized() == expected.symmetrized()
+    assert g.rows("both") == expected.rows("both")
     assert_rows_ascending(g)
 
 
@@ -525,7 +525,7 @@ def fresh(corpus):
 def assert_same_layer(g, expected):
     assert g == expected
     assert tuple(g.rows("in")) == tuple(expected.rows("in"))
-    assert g.symmetrized() == expected.symmetrized()
+    assert tuple(g.rows("both")) == tuple(expected.rows("both"))
     assert g.aux_counts == expected.aux_counts
     assert_rows_ascending(g)
 
@@ -536,7 +536,8 @@ def test_a_corpus_builds_each_layer_once(layer, seed):
     corpus = random_corpus(random.Random(seed))
     g = build_layer(corpus, layer)
     assert build_layer(corpus, layer) is g
-    assert g.symmetrized() is g.symmetrized()
+    if layer.directed:  # its both-ways rows are built on first read, then kept
+        assert g.rows("both") is g.rows("both")
     assert_same_layer(g, build_layer(fresh(corpus), layer))
     internal = build_layer(corpus, layer, internal_only=True)
     if layer is Layer.COCITATION:  # the flag's graph is an entry of its own
@@ -576,8 +577,8 @@ def test_readers_leave_a_cached_layer_as_built(layer, seed):
     for node in g.nodes()[:3]:
         for direction in DIRECTIONS:
             neighborhood(g, node, 2, direction=direction)
-    edge_betweenness(g.symmetrized())
-    girvan_newman(g.symmetrized())
+    edge_betweenness(Graph(False, g.nodes(), g.rows("both")))
+    girvan_newman(g)
     export_pajek(g)
     adjacency_report_csv(g)
     if len(layer.node_kinds) == 2:  # the bipartite layers
@@ -642,15 +643,15 @@ def test_writers_derive_each_row_once_and_keep_none(build, monkeypatch):
     assert (export_pajek(g), adjacency_report_csv(g)) == (text, report)
 
 
-def test_adjacency_export_of_the_citation_layer_keeps_no_symmetrized_graph():
+def test_adjacency_export_of_the_citation_layer_keeps_no_both_ways_rows():
     corpus = random_corpus(random.Random(96))
     g = build_layer(corpus, Layer.PAPER_CITATION)
     report, rows = adjacency_report_csv(g), list(adjacency_rows(g))
     assert g.directed and g.link_count > 0
-    assert g._symmetrized is None and build_layer(corpus, Layer.PAPER_CITATION) is g
-    view = g.symmetrized()  # the rows both readers merged, as the view holds them
-    assert [tuple(row) for row in view.rows()] == [tuple(map(g.index, r.neighbours)) for r in rows]
-    assert report == adjacency_report_csv(view)
+    assert g._both is None and build_layer(corpus, Layer.PAPER_CITATION) is g
+    both = g.rows("both")  # the rows both writers merged, as rows("both") keeps them
+    assert [tuple(row) for row in both] == [tuple(map(g.index, r.neighbours)) for r in rows]
+    assert report == adjacency_report_csv(Graph(False, g.nodes(), both))
 
 
 @pytest.mark.parametrize("build", ONE_MODE_BUILDS, ids=one_mode_id)

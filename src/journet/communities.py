@@ -139,12 +139,12 @@ def girvan_newman(graph: Graph) -> CommunityResult:
     and a new level is recorded whenever the component count grows.
     The components are found once and kept as ascending member lists;
     only the one that lost the removed edge, or the two it split into, is
-    swept again, and the others keep their top edge.  Modularity is
-    always evaluated against the original graph.  Runs until no edges
-    remain, so the last level is all singletons.  Best is the highest Q;
-    equal Q prefers fewer communities, then the earlier recording.
-    A directed graph is read both ways, as its ``rows("both")``: opposite
-    arcs make one edge, which the dendrogram and modularity count once.
+    swept again, and the others keep their top edge.  Modularity is always
+    evaluated against the graph's ``rows("both")`` as given at the start.
+    Runs until no edges remain, so the last level is all singletons.
+    Best is the highest Q; equal Q prefers fewer communities, then the
+    earlier recording.  A directed graph is read both ways, as its
+    ``rows("both")``: opposite arcs make one edge, counted once.
     """
     if graph.link_count == 0:
         raise ValueError("community detection needs at least one edge")

@@ -259,7 +259,9 @@ def test_gn_single_edge_consistent_best():
 
 
 def test_gn_rejects_edgeless_and_directed():
-    # an edgeless graph is refused either way; a directed one with arcs is read both ways below
+    # An edgeless graph is refused, directed or not.  A directed graph with arcs is no
+    # longer refused: test_gn_reads_a_directed_graph_both_ways checks it.  The name is
+    # kept so the test's id stays the same across the change.
     with pytest.raises(ValueError, match="edge"):
         girvan_newman(build_graph(False, [], isolated_nodes=[n(1)]))
     with pytest.raises(ValueError, match="edge"):

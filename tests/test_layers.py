@@ -577,7 +577,7 @@ def test_readers_leave_a_cached_layer_as_built(layer, seed):
     for node in g.nodes()[:3]:
         for direction in DIRECTIONS:
             neighborhood(g, node, 2, direction=direction)
-    edge_betweenness(Graph(False, g.nodes(), g.rows("both")))
+    edge_betweenness(g if not g.directed else Graph(False, g.nodes(), g.rows("both")))
     girvan_newman(g)
     export_pajek(g)
     adjacency_report_csv(g)
